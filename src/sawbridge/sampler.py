@@ -252,11 +252,20 @@ def _sample_batch(
     choices = np.zeros((n_reps, n), dtype=np.int32)
     rounds = np.zeros(n_reps, dtype=np.int64)
 
+    # The backward kernel at (t, y) depends on that state alone, so each
+    # round builds it once per distinct state and gathers it per replicate.
     active = np.arange(n_reps)
     j = 0
     while active.size:
-        cand_t = cur_t[active, None] - t_arr[None, :]
-        cand_y = cur_y[active, None, :] - y_arr[None, :, :]
+        key = cur_t[active]
+        for axis in range(law.d - 1):
+            key = key * width + cur_y[active, axis] + radius
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        state_t = cur_t[active[first]]
+        state_y = cur_y[active[first]]
+
+        cand_t = state_t[:, None] - t_arr[None, :]
+        cand_y = state_y[:, None, :] - y_arr[None, :, :]
         valid = (cand_t >= 0) & np.all(np.abs(cand_y) <= radius, axis=2)
 
         coords = np.clip(cand_y + radius, 0, width - 1)
@@ -267,23 +276,22 @@ def _sample_batch(
         weights_log[~valid] = -np.inf
 
         row_max = weights_log.max(axis=1)
-        if np.any(row_max == -np.inf):
-            bad = reps[int(active[int(np.argmax(row_max == -np.inf))])]
+        dead = row_max == -np.inf
+        if dead.any():
+            bad = reps[int(active[int(np.argmax(dead[inverse]))])]
             raise UnreachableStateError(
                 f"replicate {bad}: no in-box predecessor; partition table "
                 "inconsistent with the law"
             )
-        weights = np.exp(weights_log - row_max[:, None])
-        cumulative = np.cumsum(weights, axis=1)
-        target = uniforms[active, j] * cumulative[:, -1]
-        above = cumulative > target[:, None]
+        cumulative = np.cumsum(np.exp(weights_log - row_max[:, None]), axis=1)
+        target = uniforms[active, j] * cumulative[inverse, -1]
+        above = cumulative[inverse] > target[:, None]
         picked = np.argmax(above, axis=1)
         picked[~above.any(axis=1)] = n_steps - 1
 
         choices[active, j] = picked
-        rows = np.arange(active.size)
-        cur_t[active] = cand_t[rows, picked]
-        cur_y[active] = cand_y[rows, picked]
+        cur_t[active] = cand_t[inverse, picked]
+        cur_y[active] = cand_y[inverse, picked]
         rounds[active] = j + 1
         active = active[cur_t[active] > 0]
         j += 1
@@ -291,13 +299,19 @@ def _sample_batch(
     steps = [
         FrameSplit(int(t), tuple(int(c) for c in y)) for t, y in zip(t_arr, y_arr)
     ]
+    # Skeleton is frozen, so replicates that drew the same choices share one.
+    built: dict[bytes, Skeleton] = {}
     out = []
     for i in range(n_reps):
-        drawn = [steps[k] for k in choices[i, : rounds[i]]]
-        drawn.reverse()
-        skeleton = Skeleton(increments=tuple(drawn), n=n)
-        require_skeleton(skeleton)
-        out.append(skeleton)
+        row = choices[i, : rounds[i]]
+        key = row.tobytes()
+        if key not in built:
+            skeleton = Skeleton(
+                increments=tuple(steps[k] for k in reversed(row.tolist())), n=n
+            )
+            require_skeleton(skeleton)
+            built[key] = skeleton
+        out.append(built[key])
     return out
 
 
@@ -339,12 +353,6 @@ def sample_skeletons(
     return out
 
 
-def sample_skeleton(
-    law: StepLaw, partition: PartitionTable, seed: int, replicate: int
-) -> Skeleton:
-    return sample_skeletons(law, partition, seed, [replicate])[0]
-
-
 def scale_skeleton(skeleton: Skeleton) -> ScaledBridgeProcess:
     """Diffusively rescale partial sums: time by n, transverse by sqrt(n)."""
     require_skeleton(skeleton)
@@ -359,18 +367,6 @@ def scale_skeleton(skeleton: Skeleton) -> ScaledBridgeProcess:
         (np.zeros((1, y_inc.shape[1])), np.cumsum(y_inc, axis=0))
     ).astype(np.float64) / math.sqrt(skeleton.n)
     return ScaledBridgeProcess(times=times, values=values)
-
-
-def evaluate_process(process: ScaledBridgeProcess, t: float) -> np.ndarray:
-    """Linear interpolation of the process at a single scaled time."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time {t} outside [0, 1]")
-    return np.array(
-        [
-            np.interp(t, process.times, process.values[:, j])
-            for j in range(process.values.shape[1])
-        ]
-    )
 
 
 def evaluate_process_grid(process: ScaledBridgeProcess, grid: np.ndarray) -> np.ndarray:
@@ -426,14 +422,3 @@ class ExhaustiveWalkSampler:
         target = u * self._cumulative[-1]
         idx = int(np.searchsorted(self._cumulative, target, side="right"))
         return self.paths[min(idx, len(self.paths) - 1)]
-
-
-def sample_conditioned_walk_exhaustive(
-    d: int, n: int, beta: float, cutoff: int, seed: int, replicate: int = 0
-) -> tuple[Site, ...]:
-    """One exact draw from the pinned bridge ensemble.
-
-    Convenience wrapper; for many draws build one ExhaustiveWalkSampler
-    and reuse it.
-    """
-    return ExhaustiveWalkSampler(d, n, beta, cutoff).sample(seed, replicate)

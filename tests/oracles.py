@@ -298,6 +298,17 @@ def oz_residual(
     return worst
 
 
+def interpolate_process(process, t: float) -> list[float]:
+    """Value of a scaled bridge process at one time, one np.interp per
+    transverse coordinate."""
+    import numpy as np
+
+    return [
+        float(np.interp(t, process.times, process.values[:, j]))
+        for j in range(process.values.shape[1])
+    ]
+
+
 def longer_than_cube_root(t: int, y: Sequence[int], n: int) -> bool:
     """|(t, y)| > n^(1/3), decided exactly in integers as |(t, y)|^6 > n^2."""
     return (t * t + sum(c * c for c in y)) ** 3 > n * n

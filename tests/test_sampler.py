@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -21,6 +23,7 @@ from sawbridge.sampler import (
 
 from oracles import (
     composition_partition,
+    interpolate_process,
     naive_is_bridge,
     renewal_conditioned_law,
 )
@@ -185,7 +188,7 @@ def test_real_law_leakage_is_negligible(law_l9):
 def test_degenerate_sampler_always_unit_steps(degenerate_law):
     table = sampler.dp_partition(degenerate_law, 5)
     for replicate in range(10):
-        skeleton = sampler.sample_skeleton(degenerate_law, table, 3, replicate)
+        skeleton = sampler.sample_skeletons(degenerate_law, table, 3, [replicate])[0]
         assert skeleton.increments == (FrameSplit(1, ORIGIN_1D),) * 5
 
 
@@ -264,16 +267,38 @@ def test_unreachable_span_raises():
         sampler.sample_skeletons(law, table, seed=0, replicates=range(1))
 
 
+def test_emptied_slab_raises_inside_the_sampling_loop():
+    # With slabs 2 and 3 emptied, the pinned mass at (6, 0) stays positive
+    # but state 4 has no predecessor: replicates whose first backward draw
+    # is the double leg die in the second round, the others in the third.
+    law = make_law({FrameSplit(1, ORIGIN_1D): 0.5, FrameSplit(2, ORIGIN_1D): 0.5})
+    table = sampler.dp_partition(law, 6)
+    mantissa = table.mantissa.copy()
+    log_scale = table.log_scale.copy()
+    mantissa[2:4] = 0.0
+    log_scale[2:4] = -np.inf
+    broken = dataclasses.replace(table, mantissa=mantissa, log_scale=log_scale)
+    assert broken.value(6, ORIGIN_1D) > 0.0
+
+    # the first draw only reads slabs 4 and 5, which the intact table shares
+    reps = [9, 3, 14, 0, 7, 21, 5, 30, 12, 2]
+    intact = sampler.sample_skeletons(law, table, seed=1, replicates=reps)
+    doomed = [r for r, s in zip(reps, intact) if s.increments[-1].t == 2]
+    assert doomed and doomed[0] != reps[0]
+    with pytest.raises(UnreachableStateError, match=rf"^replicate {doomed[0]}:"):
+        sampler.sample_skeletons(law, broken, seed=1, replicates=reps)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
 
 def test_seed_and_replicate_determine_the_draw(law_l9):
     table = sampler.dp_partition(law_l9, 8)
-    first = sampler.sample_skeleton(law_l9, table, seed=3, replicate=7)
-    again = sampler.sample_skeleton(law_l9, table, seed=3, replicate=7)
+    first = sampler.sample_skeletons(law_l9, table, seed=3, replicates=[7])[0]
+    again = sampler.sample_skeletons(law_l9, table, seed=3, replicates=[7])[0]
     assert first == again
-    other_seed = sampler.sample_skeleton(law_l9, table, seed=4, replicate=7)
+    other_seed = sampler.sample_skeletons(law_l9, table, seed=4, replicates=[7])[0]
     batch = sampler.sample_skeletons(law_l9, table, seed=3, replicates=range(64))
     assert batch[7] == first
     assert len({s.increments for s in batch} | {other_seed.increments}) > 1
@@ -289,8 +314,36 @@ def test_sampling_invariant_under_batching_and_threads(law_l9):
     threaded = sampler.sample_skeletons(
         law_l9, table, seed=11, replicates=reps, threads=2, batch_size=64
     )
-    singles = [sampler.sample_skeleton(law_l9, table, seed=11, replicate=r) for r in reps]
+    singles = [
+        sampler.sample_skeletons(law_l9, table, seed=11, replicates=[r])[0] for r in reps
+    ]
     assert plain == small_batches == threaded == singles
+
+
+def increments_digest(skeletons: list[Skeleton]) -> str:
+    text = "\n".join(
+        " ".join(f"{s.t}:{','.join(map(str, s.y))}" for s in skeleton.increments)
+        for skeleton in skeletons
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, reps, digest",
+    [
+        # n = 8 draws its uniforms on the vectorised short-stream path
+        (8, 300, "b724385ba71a8a1005d5fe59be91f785e8463caa68beda0ae0f7f5a90abec8f9"),
+        # n = 512 is over four times the short-stream threshold
+        (512, 64, "36004873289a56456c5c466ebca2ac2c9ab255b605935ee2ab797fefbd791368"),
+    ],
+)
+def test_sampled_increments_golden_digest(law_l9, n, reps, digest):
+    # recorded with the sampler that built one np.random.Philox per stream
+    # and one backward kernel per replicate; any change to the RNG streams
+    # or to the kernel arithmetic shows up here
+    table = sampler.dp_partition(law_l9, n)
+    skeletons = sampler.sample_skeletons(law_l9, table, seed=11, replicates=range(reps))
+    assert increments_digest(skeletons) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +369,8 @@ def test_scale_tent_skeleton_and_interpolation():
     process = sampler.scale_skeleton(skeleton)
     assert process.times.tolist() == [0.0, 0.5, 1.0]
     assert process.values[:, 0].tolist() == [0.0, 1.0, 0.0]
-    assert sampler.evaluate_process(process, 0.25)[0] == pytest.approx(0.5)
-    assert sampler.evaluate_process(process, 0.5)[0] == pytest.approx(1.0)
+    assert sampler.evaluate_process_grid(process, [0.25])[0][0] == pytest.approx(0.5)
+    assert sampler.evaluate_process_grid(process, [0.5])[0][0] == pytest.approx(1.0)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     values = sampler.evaluate_process_grid(process, grid)
     assert values[:, 0] == pytest.approx([0.0, 0.5, 1.0, 0.5, 0.0])
@@ -330,7 +383,7 @@ def test_grid_evaluation_matches_pointwise(law_l9):
         process = sampler.scale_skeleton(skeleton)
         stacked = sampler.evaluate_process_grid(process, grid)
         for j, t in enumerate(grid):
-            assert stacked[j] == pytest.approx(sampler.evaluate_process(process, t))
+            assert stacked[j] == pytest.approx(interpolate_process(process, t))
 
 
 def test_scaled_processes_are_pinned_at_both_ends(law_l9):
@@ -346,9 +399,9 @@ def test_evaluate_rejects_times_outside_unit_interval():
     skeleton = Skeleton(increments=(FrameSplit(2, ORIGIN_1D),), n=2)
     process = sampler.scale_skeleton(skeleton)
     with pytest.raises(ValueError):
-        sampler.evaluate_process(process, -0.01)
+        sampler.evaluate_process_grid(process, [-0.01])
     with pytest.raises(ValueError):
-        sampler.evaluate_process(process, 1.01)
+        sampler.evaluate_process_grid(process, [1.01])
     with pytest.raises(ValueError):
         sampler.evaluate_process_grid(process, np.array([0.5, 1.5]))
 
@@ -399,9 +452,9 @@ def test_exhaustive_length_distribution_matches_exact():
         assert z <= 3.0, f"length {length}: z = {z:.2f}"
 
 
-def test_exhaustive_walk_convenience_wrapper_is_deterministic():
-    one = sampler.sample_conditioned_walk_exhaustive(2, 3, 1.2, 7, seed=9)
-    two = sampler.sample_conditioned_walk_exhaustive(2, 3, 1.2, 7, seed=9)
+def test_exhaustive_draw_is_deterministic_across_builds():
+    one = sampler.ExhaustiveWalkSampler(2, 3, 1.2, 7).sample(seed=9, replicate=0)
+    two = sampler.ExhaustiveWalkSampler(2, 3, 1.2, 7).sample(seed=9, replicate=0)
     assert one == two
     assert one[-1] == (3, 0)
 
