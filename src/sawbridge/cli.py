@@ -11,7 +11,8 @@ hash-stamped artifacts into the output directory:
 * oracle:    exact-law comparisons at a small span, with a hard gate.
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, missing
-inputs), 3 when a measured quantity violates its acceptance bound.
+inputs, inputs stamped with other config values), 3 when a measured
+quantity violates its acceptance bound.
 
 Embedded provenance deliberately omits the execution-only knobs (thread
 count, output directory): results are bit-identical across those, and
@@ -53,6 +54,9 @@ ORACLE_MAX_SPAN = 6
 ORACLE_TOLERANCE = 1e-12
 # exhaustive shrinking runs at fixed small spans with matched headroom
 SHRINK_SPANS = ((4, 10), (6, 12))
+# the config fields a step law and a skeleton file are stamped with
+LAW_FIELDS = ("d", "cutoff", "beta")
+SKELETON_FIELDS = (*LAW_FIELDS, "replicas", "seed", "grid", "box_radius")
 
 
 class ThresholdError(RuntimeError):
@@ -132,9 +136,17 @@ def cmd_calibrate(config: ExperimentConfig) -> None:
         "law": json.loads(renewal.step_law_to_json(law)),
     }
     Path(config.out).mkdir(parents=True, exist_ok=True)
-    write_json_report(
-        law_path(config), payload, provenance(config, "d", "cutoff", "beta")
-    )
+    write_json_report(law_path(config), payload, provenance(config, *LAW_FIELDS))
+
+
+def require_provenance(path: Path, stamp: dict, expected: dict) -> None:
+    """Refuse an input file whose stamp disagrees with the resolved config."""
+    for name, value in expected.items():
+        if stamp.get(name) != value:
+            raise ConfigError(
+                f"{path}: stamped {name} {stamp.get(name)!r} disagrees with "
+                f"the configured {value!r}"
+            )
 
 
 def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
@@ -142,15 +154,9 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
     if not path.exists():
         raise ConfigError(f"missing step law {path}; run calibrate first")
     report = read_json_report(path)
+    require_provenance(path, report["config"], provenance(config, *LAW_FIELDS))
     law = renewal.step_law_from_json(json.dumps(report["law"]))
     return law, report["digest"]
-
-
-def skeleton_rows(skeletons: list[Skeleton], d: int):
-    for replicate, skeleton in enumerate(skeletons):
-        k = len(skeleton.increments)
-        for index, step in enumerate(skeleton.increments):
-            yield [replicate, k, index, step.t, *step.y]
 
 
 def cmd_sample(config: ExperimentConfig) -> None:
@@ -160,7 +166,7 @@ def cmd_sample(config: ExperimentConfig) -> None:
     for n in config.spans:
         table = sampler.dp_partition(law, n, config.box_radius)
         sampler.require_leakage(table)
-        skeletons = sampler.sample_skeletons(
+        batch = sampler.sample_skeletons(
             law,
             table,
             seed=config.seed,
@@ -168,54 +174,48 @@ def cmd_sample(config: ExperimentConfig) -> None:
             threads=config.threads,
         )
         stamp = provenance(
-            config,
-            "d", "cutoff", "beta", "replicas", "seed", "grid", "box_radius",
-            n=n,
-            law_digest=digest,
-            leakage=table.leakage,
+            config, *SKELETON_FIELDS, n=n, law_digest=digest, leakage=table.leakage
         )
         y_names = [f"y{j + 1}" for j in range(config.d - 1)]
         write_csv_report(
             skeleton_path(config, n),
             ["replicate", "k", "step_index", "t", *y_names],
-            skeleton_rows(skeletons, config.d),
+            np.hstack((batch.layout(), batch.steps)).tolist(),
             stamp,
         )
-        grid = np.array(config.grid)
-        process_lines = []
-        for replicate, skeleton in enumerate(skeletons):
-            values = sampler.evaluate_process_grid(
-                sampler.scale_skeleton(skeleton), grid
-            )
-            for t, row in zip(config.grid, values):
-                process_lines.append([replicate, t, *(float(v) for v in row)])
+        values = sampler.evaluate_process_grid(batch, np.array(config.grid))
         value_names = [f"Y{j + 1}" for j in range(config.d - 1)]
         write_csv_report(
             process_path(config, n),
             ["replicate", "t", *value_names],
-            process_lines,
+            [
+                [replicate, t, *row]
+                for replicate, rows in enumerate(values.tolist())
+                for t, row in zip(config.grid, rows)
+            ],
             stamp,
         )
 
 
-def read_skeletons(path: Path) -> tuple[dict, list[Skeleton]]:
+def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
+    """The stamp and the skeletons of a skeleton CSV, whose rows must list
+    replicates 0, 1, ... in order, each with its k steps in step order."""
     if not path.exists():
         raise ConfigError(f"missing ensemble {path}; run sample first")
     stamp, header, rows = read_csv_report(path)
-    transverse = len(header) - 4
-    by_replicate: dict[int, list[tuple[int, FrameSplit]]] = {}
-    for row in rows:
-        replicate, _, index, t = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-        y = tuple(int(c) for c in row[4 : 4 + transverse])
-        by_replicate.setdefault(replicate, []).append((index, FrameSplit(t, y)))
-    n = int(stamp["n"])
-    skeletons = []
-    for replicate in sorted(by_replicate):
-        steps = tuple(s for _, s in sorted(by_replicate[replicate]))
-        skeleton = Skeleton(increments=steps, n=n)
-        sampler.require_skeleton(skeleton)
-        skeletons.append(skeleton)
-    return stamp, skeletons
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(header))
+    starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
+    batch = sampler.SkeletonBatch(
+        n=int(stamp["n"]), steps=table[:, 3:], offsets=np.append(starts, len(table))
+    )
+    for name, want, got in zip(header, batch.layout().T, table.T):
+        if not np.array_equal(want, got):
+            raise ConfigError(f"{path}: {name} column disagrees with the skeleton rows")
+    if len(batch) != stamp["replicas"]:
+        raise ConfigError(
+            f"{path}: {len(batch)} skeletons, stamped replicas {stamp['replicas']}"
+        )
+    return stamp, batch
 
 
 def exhaustive_shrinking(beta: float) -> list[dict]:
@@ -239,12 +239,16 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
 
 
 def cmd_analyze(config: ExperimentConfig) -> None:
-    ensembles: dict[int, list[Skeleton]] = {}
-    digest = ""
+    ensembles: dict[int, sampler.SkeletonBatch] = {}
+    digests = set()
     for n in config.spans:
-        stamp, skeletons = read_skeletons(skeleton_path(config, n))
-        digest = stamp.get("law_digest", "")
-        ensembles[n] = skeletons
+        path = skeleton_path(config, n)
+        stamp, ensembles[n] = read_skeletons(path)
+        require_provenance(path, stamp, provenance(config, *SKELETON_FIELDS, n=n))
+        digests.add(stamp.get("law_digest", ""))
+    if len(digests) != 1:
+        raise ConfigError(f"skeleton files disagree on law_digest: {sorted(digests)}")
+    digest = digests.pop()
     grid = np.array(config.grid)
     fit_span = max(config.spans)
     ensemble = stats.build_ensemble(
@@ -335,18 +339,13 @@ def cmd_oracle(config: ExperimentConfig) -> None:
     law = renewal.build_step_law(irr_table, config.beta, m_hat)
     table = sampler.dp_partition(law, n, config.box_radius)
     sampler.require_leakage(table)
-    skeletons = sampler.sample_skeletons(
+    frequencies = sampler.sample_skeletons(
         law,
         table,
         seed=config.seed,
         replicates=range(config.replicas),
         threads=config.threads,
-    )
-    frequencies: dict[tuple[FrameSplit, ...], int] = {}
-    for skeleton in skeletons:
-        frequencies[skeleton.increments] = (
-            frequencies.get(skeleton.increments, 0) + 1
-        )
+    ).tally()
     tv = 0.5 * sum(
         abs(frequencies.get(key, 0) / config.replicas - exact.get(key, 0.0))
         for key in set(exact) | set(frequencies)

@@ -51,6 +51,7 @@ from .lattice import (
     site_add,
     unit_steps,
 )
+from .reporting import write_atomic
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 
@@ -411,18 +412,6 @@ def evaluate_weight(table: CountTable, beta: float, x: Site) -> float:
     return float(row.astype(np.float64) @ w)
 
 
-def bubble_diagram(table: CountTable, beta: float) -> float:
-    """Truncated bubble sum: sum over endpoints of the squared weight."""
-    if table.walk_class is not WalkClass.ALL:
-        raise ValueError("bubble_diagram requires an ALL-class table")
-    w = length_weights(table.cutoff, beta)
-    total = 0.0
-    for site in table.endpoints():
-        g = float(table.counts[site].astype(np.float64) @ w)
-        total += g * g
-    return total
-
-
 def mass_estimate(
     table: CountTable, beta: float, n_max: int
 ) -> tuple[np.ndarray, float]:
@@ -566,7 +555,7 @@ def exact_conditioned_skeleton_law(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: versioned binary cache plus CSV rows.
+# Serialization: versioned binary cache.
 
 _MAGIC = b"SAWCOUNT"
 _FORMAT_VERSION = 1
@@ -599,7 +588,7 @@ def save_count_table(table: CountTable, path: str | Path, config: dict | None = 
         parts.append(struct.pack(f"<{table.d}i", *site))
         parts.append(table.counts[site].astype("<i8").tobytes())
     body = b"".join(parts)
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_count_table(path: str | Path) -> CountTable:
@@ -639,22 +628,3 @@ def load_count_table(path: str | Path) -> CountTable:
     return CountTable(
         d=d, cutoff=cutoff, walk_class=_CODE_CLASSES[class_code], counts=counts
     )
-
-
-def cache_config(path: str | Path) -> dict:
-    """Return the config blob embedded in a count cache."""
-    blob = Path(path).read_bytes()
-    off = len(_MAGIC) + 13
-    (meta_len,) = struct.unpack_from("<I", blob, off)
-    return json.loads(blob[off + 4 : off + 4 + meta_len].decode())
-
-
-def count_table_csv_rows(table: CountTable) -> tuple[list[str], list[list]]:
-    """Header and rows (x1..xd, N, count) for the nonzero table entries."""
-    header = [f"x{i + 1}" for i in range(table.d)] + ["N", "count"]
-    rows: list[list] = []
-    for site in table.endpoints():
-        row = table.counts[site]
-        for n in np.flatnonzero(row):
-            rows.append([*site, int(n), int(row[n])])
-    return header, rows

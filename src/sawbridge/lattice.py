@@ -3,8 +3,8 @@
 A walk is a sequence of sites in Z^d, each site a d-tuple of ints.  The
 first coordinate plays a distinguished role throughout the package: walks
 are measured along axis 0 ("longitudinal"), and the remaining d-1
-coordinates form the transverse block.  `split_frame` performs that
-decomposition and `join_frame` inverts it.
+coordinates form the transverse block, and a FrameSplit holds a
+displacement split that way.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ def site_add(a: Site, b: Site) -> Site:
     return tuple(p + q for p, q in zip(a, b))
 
 
-def site_sub(a: Site, b: Site) -> Site:
-    return tuple(p - q for p, q in zip(a, b))
-
-
 def is_self_avoiding(sites: Sequence[Site]) -> bool:
     """True iff consecutive sites are nearest neighbours and no site repeats.
 
@@ -75,15 +71,3 @@ def require_walk(sites: Sequence[Site]) -> None:
     d = len(sites[0])
     if any(len(s) != d for s in sites):
         raise ValueError("sites have inconsistent dimension")
-
-
-def split_frame(site: Site) -> FrameSplit:
-    """Split a site into (longitudinal coordinate, transverse block)."""
-    if len(site) < 1:
-        raise ValueError("site must have at least one coordinate")
-    return FrameSplit(site[0], tuple(site[1:]))
-
-
-def join_frame(t: int, y: Sequence[int]) -> Site:
-    """Inverse of split_frame: assemble a site from its two blocks."""
-    return (t, *y)

@@ -10,7 +10,9 @@ Every artifact embeds the resolved configuration and a content hash:
 
 Identical inputs therefore produce byte-identical files, which makes
 reruns diffable in CI, and any tampering is detectable.  Floats are
-written with repr, the shortest digits that round-trip.
+written with repr, the shortest digits that round-trip.  Every file is
+written atomically (see write_atomic), so an interrupted run leaves the
+previous file or the new one under the final name, never a part of one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,6 +46,25 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it onto path.
+
+    The rename is atomic, so readers and later runs see either the old
+    file or the complete new one; a failed write removes its temporary
+    file.  Nothing is synced to disk: this guards against an interrupted
+    process, not against a power loss.
+    """
+    path = Path(path)
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_json_report(path: str | Path, payload: dict, config: dict) -> None:
     if "sha256" in payload or "config" in payload:
         raise ValueError("payload must not predefine config or sha256")
@@ -50,7 +72,7 @@ def write_json_report(path: str | Path, payload: dict, config: dict) -> None:
     body["config"] = config
     digest = content_digest(canonical_json(body))
     body["sha256"] = digest
-    Path(path).write_text(canonical_json(body), encoding="utf-8")
+    write_atomic(path, canonical_json(body).encode("utf-8"))
 
 
 def read_json_report(path: str | Path) -> dict:
@@ -82,7 +104,7 @@ def write_csv_report(
         f"# sha256: {content_digest(table)}\n"
         f"{table}"
     )
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text.encode("utf-8"))
 
 
 def read_csv_report(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:

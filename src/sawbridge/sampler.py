@@ -1,4 +1,4 @@
-"""Exact sampling of renewal skeletons pinned at (n, 0̃), and their scaling.
+"""Exact sampling of renewal skeletons pinned at (n, 0̃), and their scaled process.
 
 The step law lives on displacements (t >= 1, y); conditioning on the
 partial sums hitting (n, 0̃) is handled in two passes:
@@ -25,8 +25,12 @@ enumeration at small n; that sampler lives here too.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -58,25 +62,64 @@ class Skeleton:
     n: int
 
 
-def require_skeleton(skeleton: Skeleton) -> None:
-    if not skeleton.increments:
-        raise ValueError("skeleton has no increments")
-    if any(s.t < 1 for s in skeleton.increments):
-        raise ValueError("skeleton increments must advance along the axis")
-    if sum(s.t for s in skeleton.increments) != skeleton.n:
-        raise ValueError("skeleton increments do not sum to its span")
+@dataclass(frozen=True, eq=False)
+class SkeletonBatch(Sequence[Skeleton]):
+    """An ensemble of pinned skeletons of one span, stored column-wise.
 
-
-@dataclass(frozen=True)
-class ScaledBridgeProcess:
-    """Piecewise-linear interpolation of scaled skeleton partial sums.
-
-    Knot i sits at time s_i/n with value s_i,transverse/sqrt(n); the first
-    knot is (0, 0̃) and, for a pinned skeleton, the last is (1, 0̃).
+    steps holds every increment of every skeleton as one int64 row
+    (t, y_1, ..., y_{d-1}); skeleton r owns rows offsets[r]:offsets[r + 1].
+    Construction checks, for every skeleton at once, that it is nonempty,
+    advances along the axis at every step, spans n and ends on the axis.
+    Indexing yields the walk-level Skeleton of one replicate.
     """
 
-    times: np.ndarray
-    values: np.ndarray
+    n: int
+    steps: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        lengths = np.diff(self.offsets)
+        if self.offsets[0] != 0 or self.offsets[-1] != len(self.steps):
+            raise ValueError("skeleton offsets do not cover the steps")
+        if np.any(lengths < 1):
+            raise ValueError("skeleton has no increments")
+        if np.any(self.steps[:, 0] < 1):
+            raise ValueError("skeleton increments must advance along the axis")
+        totals = np.add.reduceat(self.steps, self.offsets[:-1], axis=0)
+        if np.any(totals[:, 0] != self.n):
+            raise ValueError("skeleton increments do not sum to its span")
+        if totals[:, 1:].any():
+            raise ValueError("skeleton is not pinned to the axis endpoint")
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index: int) -> Skeleton:
+        r = range(len(self))[operator.index(index)]
+        rows = self.steps[self.offsets[r] : self.offsets[r + 1]]
+        return Skeleton(increments=_increments(rows), n=self.n)
+
+    def layout(self) -> np.ndarray:
+        """(replicate, k, step_index) of every step, one row per step."""
+        lengths = np.diff(self.offsets)
+        replicate = np.repeat(np.arange(len(self)), lengths)
+        index = np.arange(len(self.steps)) - self.offsets[replicate]
+        return np.column_stack((replicate, lengths[replicate], index))
+
+    def tally(self) -> dict[tuple[FrameSplit, ...], int]:
+        """How many replicates drew each distinct skeleton, keyed by its
+        increments, in order of first appearance."""
+        d = self.steps.shape[1]
+        data = memoryview(np.ascontiguousarray(self.steps, dtype=np.int64)).cast("B")
+        counts = Counter(data[a:b].tobytes() for a, b in pairwise(self.offsets * 8 * d))
+        return {
+            _increments(np.frombuffer(key, np.int64).reshape(-1, d)): count
+            for key, count in counts.items()
+        }
+
+
+def _increments(rows: np.ndarray) -> tuple[FrameSplit, ...]:
+    return tuple(FrameSplit(t, tuple(y)) for t, *y in rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -233,8 +276,10 @@ def require_leakage(partition: PartitionTable, bound: float = MAX_LEAKAGE) -> No
 
 
 def _sample_batch(
-    law: StepLaw, partition: PartitionTable, seed: int, reps: list[int]
-) -> list[Skeleton]:
+    law: StepLaw, partition: PartitionTable, seed: int, reps: range | list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Law-step indices (in forward order) and increment counts of one
+    replicate batch."""
     t_arr, y_arr, p_arr = law_arrays(law)
     n, radius = partition.n, partition.radius
     width = 2 * radius + 1
@@ -296,28 +341,9 @@ def _sample_batch(
         active = active[cur_t[active] > 0]
         j += 1
 
-    steps = [
-        FrameSplit(int(t), tuple(int(c) for c in y)) for t, y in zip(t_arr, y_arr)
-    ]
-    # Skeleton is frozen, so replicates that drew the same choices share one.
-    built: dict[bytes, Skeleton] = {}
-    out = []
-    for i in range(n_reps):
-        row = choices[i, : rounds[i]]
-        key = row.tobytes()
-        if key not in built:
-            skeleton = Skeleton(
-                increments=tuple(steps[k] for k in reversed(row.tolist())), n=n
-            )
-            require_skeleton(skeleton)
-            built[key] = skeleton
-        out.append(built[key])
-    return out
-
-
-def _sample_task(args) -> list[Skeleton]:
-    law, partition, seed, reps = args
-    return _sample_batch(law, partition, seed, reps)
+    # choices are drawn last increment first, so each reversed row ends
+    # with that replicate's increments in forward order
+    return choices[:, ::-1][np.arange(n) >= (n - rounds)[:, None]], rounds
 
 
 def sample_skeletons(
@@ -328,7 +354,7 @@ def sample_skeletons(
     *,
     threads: int = 1,
     batch_size: int = 4096,
-) -> list[Skeleton]:
+) -> SkeletonBatch:
     """Draw one pinned skeleton per replicate id, in replicate order.
 
     Per-replicate streams make the output independent of batch size and
@@ -338,48 +364,53 @@ def sample_skeletons(
         raise UnreachableStateError(
             f"pinned mass at ({partition.n}, 0̃) is zero; box or law misconfigured"
         )
-    reps = list(replicates)
-    batches = [reps[i : i + batch_size] for i in range(0, len(reps), batch_size)]
+    batches = [
+        replicates[i : i + batch_size] for i in range(0, len(replicates), batch_size)
+    ]
     if threads <= 1 or len(batches) <= 1:
-        out: list[Skeleton] = []
-        for batch in batches:
-            out.extend(_sample_batch(law, partition, seed, batch))
-        return out
-    tasks = [(law, partition, seed, batch) for batch in batches]
-    out = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_sample_task, tasks):
-            out.extend(part)
-    return out
+        parts = [_sample_batch(law, partition, seed, batch) for batch in batches]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(
+                pool.map(_sample_batch, repeat(law), repeat(partition), repeat(seed), batches)
+            )
+    picked = np.concatenate([np.zeros(0, dtype=np.int32)] + [p for p, _ in parts])
+    lengths = np.concatenate([np.zeros(1, dtype=np.int64)] + [k for _, k in parts])
+    del parts  # the picks once, not twice, while the steps are gathered
+    t_arr, y_arr, _ = law_arrays(law)
+    steps = np.column_stack((t_arr, y_arr))[picked]
+    return SkeletonBatch(n=partition.n, steps=steps, offsets=np.cumsum(lengths))
 
 
-def scale_skeleton(skeleton: Skeleton) -> ScaledBridgeProcess:
-    """Diffusively rescale partial sums: time by n, transverse by sqrt(n)."""
-    require_skeleton(skeleton)
-    t_inc = np.array([s.t for s in skeleton.increments], dtype=np.int64)
-    y_inc = np.array([s.y for s in skeleton.increments], dtype=np.int64).reshape(
-        len(skeleton.increments), -1
-    )
-    if y_inc.sum(axis=0).any():
-        raise ValueError("skeleton is not pinned to the axis endpoint")
-    times = np.concatenate(([0], np.cumsum(t_inc))).astype(np.float64) / skeleton.n
-    values = np.vstack(
-        (np.zeros((1, y_inc.shape[1])), np.cumsum(y_inc, axis=0))
-    ).astype(np.float64) / math.sqrt(skeleton.n)
-    return ScaledBridgeProcess(times=times, values=values)
+def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
+    """Scaled process of every skeleton on the grid, shape (replicates, times, d - 1).
 
-
-def evaluate_process_grid(process: ScaledBridgeProcess, grid: np.ndarray) -> np.ndarray:
-    """Interpolate the process on a whole grid of times at once."""
+    Knots sit at (s_t / n, s_y / sqrt(n)) for the partial sums s of a
+    skeleton, from (0, 0̃) to (1, 0̃), joined linearly.  Values equal
+    np.interp on each skeleton's knots bit for bit: the same knot search,
+    a time on a knot takes the knot's value, and numpy's slope formula.
+    """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
         raise ValueError("grid times must lie in [0, 1]")
-    return np.column_stack(
-        [
-            np.interp(grid, process.times, process.values[:, j])
-            for j in range(process.values.shape[1])
-        ]
-    )
+    n, d = batch.n, batch.steps.shape[1]
+    sums = np.zeros((len(batch.steps) + 1, d), dtype=np.int64)
+    np.cumsum(batch.steps, axis=0, out=sums[1:])
+    # Every skeleton ends at (n, 0̃), so the running sums over the whole
+    # batch pass through skeleton r's knots shifted by (r * n, 0̃), the
+    # last knot of one skeleton being the first of the next.  The last
+    # knot at or before time x is found exactly, in integers: its
+    # shifted time is at most r * n + (the largest c with c / n <= x).
+    start = np.arange(len(batch))[:, None] * n
+    below = np.searchsorted(np.arange(n + 1) / n, grid, side="right") - 1
+    at = np.searchsorted(sums[:, 0], start + below, side="right") - 1
+    knots = np.stack((at, np.minimum(at + 1, len(sums) - 1)))  # and the next knot
+    times = (sums[knots, 0] - start) / n
+    values = sums[knots, 1:] / math.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (values[1] - values[0]) / (times[1] - times[0])[..., None]
+    inside = slope * (grid - times[0])[..., None] + values[0]
+    return np.where((times[0] == grid)[..., None], values[0], inside)
 
 
 class ExhaustiveWalkSampler:

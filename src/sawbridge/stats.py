@@ -28,7 +28,7 @@ import numpy as np
 
 from .counting import bridge_skeleton
 from .lattice import Site
-from .sampler import Skeleton, evaluate_process_grid, scale_skeleton
+from .sampler import Skeleton, SkeletonBatch, evaluate_process_grid
 
 KS_SERIES_TERMS = 100
 MIN_KS_SAMPLE = 100
@@ -87,28 +87,21 @@ def default_grid() -> np.ndarray:
 
 
 def build_ensemble(
-    skeletons: Sequence[Skeleton],
+    batch: SkeletonBatch,
     grid: np.ndarray,
     *,
     seed: int,
     law_digest: str = "",
 ) -> Ensemble:
     """Scale every skeleton and evaluate it on the grid."""
-    if not skeletons:
+    if not len(batch):
         raise ValueError("ensemble needs at least one skeleton")
     grid = np.asarray(grid, dtype=np.float64)
     require_grid(grid)
-    spans = {s.n for s in skeletons}
-    if len(spans) != 1:
-        raise ValueError(f"skeletons mix spans {sorted(spans)}")
-    rows = [
-        evaluate_process_grid(scale_skeleton(skeleton), grid)
-        for skeleton in skeletons
-    ]
     return Ensemble(
-        n=spans.pop(),
+        n=batch.n,
         grid=grid,
-        values=np.stack(rows),
+        values=evaluate_process_grid(batch, grid),
         seed=seed,
         law_digest=law_digest,
     )
@@ -239,7 +232,7 @@ def ks_marginal(
     return statistic, kolmogorov_pvalue(statistic, reps)
 
 
-def gap_statistic(skeletons: Sequence[Skeleton], n: int) -> float:
+def gap_statistic(batch: SkeletonBatch, n: int) -> float:
     """Fraction of skeletons with a renewal increment longer than n^(1/3).
 
     Increment length is the Euclidean norm of the full displacement,
@@ -248,19 +241,15 @@ def gap_statistic(skeletons: Sequence[Skeleton], n: int) -> float:
     perfect cube can land just below it (125 ** (1/3) < 5), which would
     count an increment of norm exactly n^(1/3) as longer.
     """
-    if not skeletons:
+    if not len(batch):
         raise ValueError("no skeletons given")
-    if any(s.n != n for s in skeletons):
+    if batch.n != n:
         raise ValueError("skeleton span disagrees with n")
-    bound = n * n
-    exceeding = 0
-    for skeleton in skeletons:
-        largest2 = max(
-            s.t * s.t + sum(c * c for c in s.y) for s in skeleton.increments
-        )
-        if largest2**3 > bound:
-            exceeding += 1
-    return exceeding / len(skeletons)
+    norm2 = np.einsum("ij,ij->i", batch.steps, batch.steps)
+    largest2 = np.maximum.reduceat(norm2, batch.offsets[:-1])
+    # Python integers, so the cube cannot overflow
+    exceeding = sum(value**3 > n * n for value in largest2.tolist())
+    return exceeding / len(batch)
 
 
 def _distance_to_polyline(points: np.ndarray, knots: np.ndarray) -> np.ndarray:

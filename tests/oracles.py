@@ -2,9 +2,10 @@
 
 Everything here is written for clarity, not speed: plain tuples, linear
 scans, dictionary recursions.  None of it shares code with the package
-modules, with one exception: exact_gap_fraction reuses the package's
+modules, with two exceptions: exact_gap_fraction reuses the package's
 partition DP, which the tests check against composition_partition, and
-is itself checked against renewal_conditioned_law.  Agreement between
+is itself checked against renewal_conditioned_law; batch_of only packs
+test skeletons into the package's SkeletonBatch.  Agreement between
 the two sides is the point of the tests.
 """
 
@@ -97,13 +98,6 @@ def naive_totals(d: int, max_steps: int) -> list[int]:
         for n, c in enumerate(row):
             totals[n] += c
     return totals
-
-
-def naive_two_point(counts: dict[Site, list[int]], beta: float, x: Site) -> float:
-    row = counts.get(x)
-    if row is None:
-        return 0.0
-    return sum(c * math.exp(-beta * n) for n, c in enumerate(row))
 
 
 def naive_bridges_to(d: int, n: int, max_steps: int) -> list[Path]:
@@ -298,15 +292,42 @@ def oz_residual(
     return worst
 
 
-def interpolate_process(process, t: float) -> list[float]:
-    """Value of a scaled bridge process at one time, one np.interp per
+def scaled_knots(skeleton) -> tuple[list[float], list[list[float]]]:
+    """Knot times s_t / n and values s_y / sqrt(n) of a skeleton's partial
+    sums s, starting from (0, 0~), by a running sum over its increments."""
+    n = skeleton.n
+    position = [0] * (1 + len(skeleton.increments[0].y))
+    times, values = [0.0], [[0.0] * (len(position) - 1)]
+    for step in skeleton.increments:
+        position = [p + c for p, c in zip(position, (step.t, *step.y))]
+        times.append(position[0] / n)
+        values.append([c / math.sqrt(n) for c in position[1:]])
+    return times, values
+
+
+def interpolate_process(skeleton, t: float) -> list[float]:
+    """Value of a skeleton's scaled process at one time, one np.interp per
     transverse coordinate."""
     import numpy as np
 
+    times, values = scaled_knots(skeleton)
     return [
-        float(np.interp(t, process.times, process.values[:, j]))
-        for j in range(process.values.shape[1])
+        float(np.interp(t, times, [row[j] for row in values]))
+        for j in range(len(values[0]))
     ]
+
+
+def batch_of(*skeletons):
+    """A SkeletonBatch holding the given walk-level skeletons of one span."""
+    import numpy as np
+    from sawbridge.sampler import SkeletonBatch
+
+    steps = [(s.t, *s.y) for skeleton in skeletons for s in skeleton.increments]
+    return SkeletonBatch(
+        n=skeletons[0].n,
+        steps=np.array(steps, dtype=np.int64),
+        offsets=np.cumsum([0, *(len(s.increments) for s in skeletons)]),
+    )
 
 
 def longer_than_cube_root(t: int, y: Sequence[int], n: int) -> bool:

@@ -27,7 +27,7 @@ from oracles import (
 from sawbridge import cli, counting, renewal, sampler, stats
 from sawbridge.config import DEFAULT_GRID
 from sawbridge.counting import WalkClass
-from sawbridge.sampler import Skeleton
+from sawbridge.sampler import SkeletonBatch
 
 BETA = 1.2
 SEED = 6
@@ -56,11 +56,9 @@ def non_increasing(values: list[float]) -> bool:
     return all(b <= a for a, b in zip(values, values[1:]))
 
 
-def pinned_at_axis_point(skeleton: Skeleton, n: int) -> bool:
-    if sum(s.t for s in skeleton.increments) != n:
-        return False
-    transverse = [sum(c) for c in zip(*(s.y for s in skeleton.increments))]
-    return all(c == 0 for c in transverse)
+def all_pinned_at_axis_point(batch: SkeletonBatch, n: int) -> bool:
+    ends = np.add.reduceat(batch.steps, batch.offsets[:-1], axis=0)
+    return bool(np.all(ends[:, 0] == n)) and not ends[:, 1:].any()
 
 
 @dataclass
@@ -86,7 +84,7 @@ def campaign(step_law_l13) -> Campaign:
         skeletons = sampler.sample_skeletons(
             law, table, seed=SEED, replicates=range(REPLICAS)
         )
-        out.all_pinned &= all(pinned_at_axis_point(s, n) for s in skeletons)
+        out.all_pinned &= all_pinned_at_axis_point(skeletons, n)
         if n in GAP_SPANS:
             out.gap_fractions[n] = stats.gap_statistic(skeletons, n)
         if n in FIT_SPANS:
@@ -108,7 +106,7 @@ def million_draw_frequencies(step_law_l13) -> Counter:
         skeletons = sampler.sample_skeletons(
             law, table, seed=SEED, replicates=range(start, start + chunk)
         )
-        frequencies.update(s.increments for s in skeletons)
+        frequencies.update(skeletons.tally())
     return frequencies
 
 

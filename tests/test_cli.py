@@ -5,10 +5,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sawbridge import cli, counting, renewal
-from sawbridge.reporting import read_csv_report, read_json_report
+from sawbridge import cli, counting, renewal, sampler
+from sawbridge.reporting import read_csv_report, read_json_report, write_csv_report
 
 MASS_ESTIMATE_L12 = -0.5543035797443925
 
@@ -152,6 +153,129 @@ def test_analyze_csv_mirrors(pipeline_dir):
     ]
     _, _, shrink_rows = read_csv_report(pipeline_dir / "shrink.csv")
     assert [int(r[0]) for r in shrink_rows] == [4, 6]
+
+
+CAMPAIGN = ("--d", "2", "--L", "10", "--n", "5,6", "--replicas", "250", "--seed", "7")
+
+
+def copy_ensembles(pipeline_dir, out) -> None:
+    for n in (5, 6):
+        shutil.copy(pipeline_dir / f"skeletons_n{n}.csv", out)
+
+
+def restamp(path, edit_rows=None, **stamp_changes) -> None:
+    stamp, header, rows = read_csv_report(path)
+    if edit_rows:
+        edit_rows(rows)
+    write_csv_report(path, header, rows, {**stamp, **stamp_changes})
+
+
+def test_read_skeletons_gives_back_the_sampled_arrays(pipeline_dir):
+    stamp, batch = cli.read_skeletons(pipeline_dir / "skeletons_n5.csv")
+    config = cli.resolve_config(None, {"cutoff": 10, "out": str(pipeline_dir)})
+    law, digest = cli.load_law(config)
+    assert stamp["law_digest"] == digest
+    sampled = sampler.sample_skeletons(
+        law, sampler.dp_partition(law, 5), seed=7, replicates=range(250)
+    )
+    assert batch.n == sampled.n == 5
+    assert np.array_equal(batch.steps, sampled.steps)
+    assert np.array_equal(batch.offsets, sampled.offsets)
+
+
+def first_two_step_rows(rows) -> tuple[int, int]:
+    """Indices of the first two rows of the first skeleton with k >= 2."""
+    first = next(i for i, row in enumerate(rows) if int(row[1]) >= 2 and row[2] == "0")
+    return first, first + 1
+
+
+def wrong_k(rows) -> None:
+    rows[0][1] = str(int(rows[0][1]) + 1)
+
+
+def swapped_step_index(rows) -> None:
+    a, b = first_two_step_rows(rows)
+    rows[a][2], rows[b][2] = rows[b][2], rows[a][2]
+
+
+def unpinned(rows) -> None:
+    rows[0][4] = str(int(rows[0][4]) + 1)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (wrong_k, "k column disagrees"),
+        (swapped_step_index, "step_index column disagrees"),
+        (unpinned, "not pinned"),
+    ],
+)
+def test_analyze_rejects_restamped_skeleton_rows(
+    pipeline_dir, tmp_path, capsys, edit, message
+):
+    copy_ensembles(pipeline_dir, tmp_path)
+    restamp(tmp_path / "skeletons_n5.csv", edit)
+    with pytest.raises(ValueError, match=message):
+        cli.read_skeletons(tmp_path / "skeletons_n5.csv")
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--d", "3", "d"),
+        ("--L", "12", "cutoff"),
+        ("--beta", "1.5", "beta"),
+        ("--replicas", "100", "replicas"),
+        ("--seed", "3", "seed"),
+        ("--grid", "0.25,0.75", "grid"),
+        ("--box-radius", "30", "box_radius"),
+    ],
+)
+def test_analyze_refuses_skeletons_of_another_config(
+    pipeline_dir, tmp_path, capsys, flag, value, field
+):
+    copy_ensembles(pipeline_dir, tmp_path)
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, flag, value, "--out", tmp_path) == 2
+    assert f"stamped {field} " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_refuses_a_file_stamped_for_another_span(pipeline_dir, tmp_path, capsys):
+    shutil.copy(pipeline_dir / "skeletons_n5.csv", tmp_path / "skeletons_n6.csv")
+    shutil.copy(pipeline_dir / "skeletons_n5.csv", tmp_path)
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert "stamped n 5 " in capsys.readouterr().err
+
+
+def test_analyze_refuses_spans_of_different_laws(pipeline_dir, tmp_path, capsys):
+    copy_ensembles(pipeline_dir, tmp_path)
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 0
+    restamp(tmp_path / "skeletons_n6.csv", law_digest="0" * 64)
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert "law_digest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field, law_name",
+    [
+        ("--beta", "1.5", "beta", "step_law_d2_L10.json"),
+        ("--L", "12", "cutoff", "step_law_d2_L12.json"),
+    ],
+)
+def test_sample_refuses_a_law_of_another_config(
+    pipeline_dir, tmp_path, capsys, flag, value, field, law_name
+):
+    shutil.copy(pipeline_dir / "step_law_d2_L10.json", tmp_path / law_name)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, flag, value, "--out", tmp_path) == 2
+    assert f"stamped {field} " in capsys.readouterr().err
+    assert not (tmp_path / "skeletons_n5.csv").exists()
 
 
 def test_analyze_missing_ensemble_exits_2(tmp_path):

@@ -99,24 +99,6 @@ def test_evaluate_weight_examples():
         counting.evaluate_weight(table, 0.0, (1, 0))
 
 
-def test_bubble_diagram_examples():
-    zero = counting.enumerate_counts(2, 0, WalkClass.ALL)
-    assert counting.bubble_diagram(zero, 1.2) == 1.0
-
-    b4 = counting.bubble_diagram(counting.enumerate_counts(2, 4, WalkClass.ALL), 1.2)
-    b8 = counting.bubble_diagram(counting.enumerate_counts(2, 8, WalkClass.ALL), 1.2)
-    assert b8 >= b4
-
-    table = counting.enumerate_counts(2, 6, WalkClass.ALL)
-    naive = oracles.naive_counts(2, 6, "all")
-    expected = sum(oracles.naive_two_point(naive, 1.2, x) ** 2 for x in naive)
-    assert counting.bubble_diagram(table, 1.2) == pytest.approx(expected, rel=1e-12)
-
-    bridge = counting.enumerate_counts(2, 4, WalkClass.BRIDGE)
-    with pytest.raises(ValueError):
-        counting.bubble_diagram(bridge, 1.2)
-
-
 def test_mass_estimate_behaviour():
     table = counting.enumerate_counts(2, 3, WalkClass.ALL)
     seq, est = counting.mass_estimate(table, 8.0, 1)
@@ -276,7 +258,6 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.endpoints() == table.endpoints()
     for site in table.endpoints():
         assert np.array_equal(loaded.counts[site], table.counts[site])
-    assert counting.cache_config(path) == {"d": 2, "L": 6}
 
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
@@ -296,15 +277,6 @@ def test_cache_rewrite_is_byte_identical(tmp_path):
     counting.save_count_table(table, a, config={"seed": 0})
     counting.save_count_table(table, b, config={"seed": 0})
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_csv_rows():
-    table = counting.enumerate_counts(2, 1, WalkClass.ALL)
-    header, rows = counting.count_table_csv_rows(table)
-    assert header == ["x1", "x2", "N", "count"]
-    assert [0, 0, 0, 1] in rows
-    assert [1, 0, 1, 1] in rows
-    assert len(rows) == 5  # origin plus four unit endpoints
 
 
 @pytest.mark.parametrize(

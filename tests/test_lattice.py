@@ -55,18 +55,6 @@ def test_require_walk_rejects_mixed_dimensions():
         lattice.require_walk([(0, 0), (1, 0, 0)])
 
 
-def test_split_join_examples():
-    assert lattice.split_frame((3, -1, 2)) == (3, (-1, 2))
-    assert lattice.join_frame(3, (-1, 2)) == (3, -1, 2)
-    assert lattice.split_frame((5,)) == (5, ())
-
-
-@given(st.tuples(*[st.integers(-50, 50)] * 3))
-def test_split_join_roundtrip(site):
-    t, y = lattice.split_frame(site)
-    assert lattice.join_frame(t, y) == site
-
-
 @given(walk_strategy(2))
 def test_generated_walks_are_self_avoiding(path):
     assert lattice.is_self_avoiding(path)
@@ -81,4 +69,3 @@ def test_generated_walks_are_self_avoiding_d3(path):
 def test_manhattan_and_site_arithmetic():
     assert lattice.manhattan((0, 0), (2, -3)) == 5
     assert lattice.site_add((1, 2), (3, -4)) == (4, -2)
-    assert lattice.site_sub((1, 2), (3, -4)) == (-2, 6)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sawbridge import counting, reporting
 from sawbridge.reporting import (
     ReportFormatError,
     canonical_json,
@@ -111,3 +112,48 @@ def test_reports_rewrite_byte_identical(tmp_path):
         if _ == 0:
             first = (json_path.read_bytes(), csv_path.read_bytes())
     assert (json_path.read_bytes(), csv_path.read_bytes()) == first
+
+
+class HalfWriter:
+    """A file whose write stores the first half of the data, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data: bytes) -> None:
+        self.handle.write(data[: len(data) // 2])
+        raise OSError("device full")
+
+
+def write_artifact(kind: str, path, version: int) -> None:
+    if kind == "csv":
+        write_csv_report(path, ["v"], [[version]] * 50, {"version": version})
+    elif kind == "json":
+        write_json_report(path, {"rows": [version] * 50}, {"version": version})
+    else:
+        table = counting.enumerate_counts(2, 2 + version, counting.WalkClass.ALL)
+        counting.save_count_table(table, path, config={"version": version})
+
+
+@pytest.mark.parametrize("kind", ["csv", "json", "cache"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, kind):
+    path = tmp_path / "artifact"
+    write_artifact(kind, path, 1)
+    before = path.read_bytes()
+    real_open = open
+    monkeypatch.setattr(
+        reporting, "open", lambda file, mode: HalfWriter(real_open(file, mode)), raising=False
+    )
+    with pytest.raises(OSError, match="device full"):
+        write_artifact(kind, path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    write_artifact(kind, path, 2)
+    assert path.read_bytes() != before

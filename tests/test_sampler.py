@@ -18,14 +18,17 @@ from sawbridge.sampler import (
     BoxTooSmallError,
     LeakageError,
     Skeleton,
+    SkeletonBatch,
     UnreachableStateError,
 )
 
 from oracles import (
+    batch_of,
     composition_partition,
     interpolate_process,
     naive_is_bridge,
     renewal_conditioned_law,
+    scaled_knots,
 )
 
 ORIGIN_1D = (0,)
@@ -212,10 +215,7 @@ def test_sampler_matches_renewal_chain_law(law_l9):
     oracle = renewal_conditioned_law(law_triples(law_l9), n)
     assert math.fsum(oracle.values()) == pytest.approx(1.0, abs=1e-12)
     table = sampler.dp_partition(law_l9, n)
-    freq = Counter(
-        s.increments
-        for s in sampler.sample_skeletons(law_l9, table, seed=0, replicates=range(reps))
-    )
+    freq = sampler.sample_skeletons(law_l9, table, seed=0, replicates=range(reps)).tally()
     keyed = {tuple((s.t, tuple(s.y)) for s in k): c for k, c in freq.items()}
     # every sampled skeleton lies in the chain's support
     assert set(keyed) <= set(oracle)
@@ -238,10 +238,7 @@ def test_sampler_total_variation_against_exhaustive_law(law_l9):
     n, reps = 3, 50000
     exact = counting.exact_conditioned_skeleton_law(2, n, 1.2, 9)
     table = sampler.dp_partition(law_l9, n)
-    freq = Counter(
-        s.increments
-        for s in sampler.sample_skeletons(law_l9, table, seed=0, replicates=range(reps))
-    )
+    freq = sampler.sample_skeletons(law_l9, table, seed=0, replicates=range(reps)).tally()
     tv = 0.5 * sum(
         abs(freq.get(k, 0) / reps - exact.get(k, 0.0)) for k in set(exact) | set(freq)
     )
@@ -317,7 +314,25 @@ def test_sampling_invariant_under_batching_and_threads(law_l9):
     singles = [
         sampler.sample_skeletons(law_l9, table, seed=11, replicates=[r])[0] for r in reps
     ]
-    assert plain == small_batches == threaded == singles
+    assert list(plain) == list(small_batches) == list(threaded) == singles
+
+
+def test_batch_layout_and_tally_match_its_skeletons(law_l9):
+    table = sampler.dp_partition(law_l9, 4)
+    batch = sampler.sample_skeletons(law_l9, table, seed=6, replicates=range(500))
+    rows = [
+        (r, len(s.increments), i)
+        for r, s in enumerate(batch)
+        for i in range(len(s.increments))
+    ]
+    assert batch.layout().tolist() == [list(row) for row in rows]
+    tally = batch.tally()
+    assert tally == Counter(s.increments for s in batch)
+    # keys come in order of first appearance
+    assert list(tally) == list(dict.fromkeys(s.increments for s in batch))
+    assert batch[-1] == batch[499]
+    with pytest.raises(IndexError):
+        batch[500]
 
 
 def increments_digest(skeletons: list[Skeleton]) -> str:
@@ -351,71 +366,106 @@ def test_sampled_increments_golden_digest(law_l9, n, reps, digest):
 
 
 def test_scale_degenerate_skeleton_is_zero_function():
-    skeleton = Skeleton(increments=(FrameSplit(1, ORIGIN_1D),) * 4, n=4)
-    process = sampler.scale_skeleton(skeleton)
-    assert np.allclose(process.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert not process.values.any()
+    batch = batch_of(Skeleton(increments=(FrameSplit(1, ORIGIN_1D),) * 4, n=4))
+    times, values = scaled_knots(batch[0])
+    assert np.allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert not np.any(values)
+    assert not sampler.evaluate_process_grid(batch, np.linspace(0.0, 1.0, 9)).any()
 
 
 def test_scale_single_increment_has_two_knots():
-    skeleton = Skeleton(increments=(FrameSplit(4, ORIGIN_1D),), n=4)
-    process = sampler.scale_skeleton(skeleton)
-    assert process.times.tolist() == [0.0, 1.0]
-    assert not process.values.any()
+    batch = batch_of(Skeleton(increments=(FrameSplit(4, ORIGIN_1D),), n=4))
+    times, values = scaled_knots(batch[0])
+    assert times == [0.0, 1.0]
+    assert not np.any(values)
+    assert not sampler.evaluate_process_grid(batch, np.linspace(0.0, 1.0, 9)).any()
 
 
 def test_scale_tent_skeleton_and_interpolation():
-    skeleton = Skeleton(increments=(FrameSplit(2, (2,)), FrameSplit(2, (-2,))), n=4)
-    process = sampler.scale_skeleton(skeleton)
-    assert process.times.tolist() == [0.0, 0.5, 1.0]
-    assert process.values[:, 0].tolist() == [0.0, 1.0, 0.0]
-    assert sampler.evaluate_process_grid(process, [0.25])[0][0] == pytest.approx(0.5)
-    assert sampler.evaluate_process_grid(process, [0.5])[0][0] == pytest.approx(1.0)
+    batch = batch_of(Skeleton(increments=(FrameSplit(2, (2,)), FrameSplit(2, (-2,))), n=4))
+    times, values = scaled_knots(batch[0])
+    assert times == [0.0, 0.5, 1.0]
+    assert [v[0] for v in values] == [0.0, 1.0, 0.0]
+    assert sampler.evaluate_process_grid(batch, [0.25])[0][0][0] == pytest.approx(0.5)
+    assert sampler.evaluate_process_grid(batch, [0.5])[0][0][0] == pytest.approx(1.0)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    values = sampler.evaluate_process_grid(process, grid)
-    assert values[:, 0] == pytest.approx([0.0, 0.5, 1.0, 0.5, 0.0])
+    values = sampler.evaluate_process_grid(batch, grid)
+    assert values.shape == (1, 5, 1)
+    assert values[0, :, 0] == pytest.approx([0.0, 0.5, 1.0, 0.5, 0.0])
 
 
 def test_grid_evaluation_matches_pointwise(law_l9):
     table = sampler.dp_partition(law_l9, 16)
     grid = np.linspace(0.0, 1.0, 11)
-    for skeleton in sampler.sample_skeletons(law_l9, table, seed=2, replicates=range(20)):
-        process = sampler.scale_skeleton(skeleton)
-        stacked = sampler.evaluate_process_grid(process, grid)
+    batch = sampler.sample_skeletons(law_l9, table, seed=2, replicates=range(20))
+    stacked = sampler.evaluate_process_grid(batch, grid)
+    for skeleton, rows in zip(batch, stacked):
         for j, t in enumerate(grid):
-            assert stacked[j] == pytest.approx(interpolate_process(process, t))
+            assert rows[j].tolist() == interpolate_process(skeleton, t)
+
+
+def law_d3() -> StepLaw:
+    steps = {(1, (0, 0)): 0.2, (2, (1, -1)): 0.1, (2, (-1, 1)): 0.1}
+    steps |= {(1, y): 0.1 for y in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    steps |= {(3, (0, 2)): 0.1, (3, (0, -2)): 0.1}
+    return make_law({FrameSplit(t, y): p for (t, y), p in steps.items()}, d=3)
+
+
+@pytest.mark.parametrize(
+    "law_name, n, grid",
+    [
+        # every decile is a knot time of some skeleton at n = 10
+        ("law_l9", 10, np.round(np.arange(0, 11) * 0.1, 10)),
+        ("law_l9", 37, np.linspace(0.0, 1.0, 101)),
+        ("law_d3", 10, np.round(np.arange(0, 11) * 0.1, 10)),
+        ("law_d3", 23, np.linspace(0.0, 1.0, 61)),
+    ],
+)
+def test_batched_evaluation_is_np_interp_bit_for_bit(law_l9, law_name, n, grid):
+    law = law_l9 if law_name == "law_l9" else law_d3()
+    table = sampler.dp_partition(law, n)
+    batch = sampler.sample_skeletons(law, table, seed=4, replicates=range(200))
+    values = sampler.evaluate_process_grid(batch, grid)
+    assert values.shape == (200, grid.size, law.d - 1)
+    expected = [[interpolate_process(s, t) for t in grid] for s in batch]
+    assert values.tolist() == expected
 
 
 def test_scaled_processes_are_pinned_at_both_ends(law_l9):
     table = sampler.dp_partition(law_l9, 9)
-    for skeleton in sampler.sample_skeletons(law_l9, table, seed=8, replicates=range(50)):
-        process = sampler.scale_skeleton(skeleton)
-        assert process.times[0] == 0.0 and process.times[-1] == 1.0
-        assert not process.values[0].any()
-        assert not process.values[-1].any()
+    batch = sampler.sample_skeletons(law_l9, table, seed=8, replicates=range(50))
+    for skeleton in batch:
+        times, values = scaled_knots(skeleton)
+        assert times[0] == 0.0 and times[-1] == 1.0
+        assert not any(values[0])
+        assert not any(values[-1])
+    assert not sampler.evaluate_process_grid(batch, [0.0, 1.0]).any()
 
 
 def test_evaluate_rejects_times_outside_unit_interval():
-    skeleton = Skeleton(increments=(FrameSplit(2, ORIGIN_1D),), n=2)
-    process = sampler.scale_skeleton(skeleton)
+    batch = batch_of(Skeleton(increments=(FrameSplit(2, ORIGIN_1D),), n=2))
     with pytest.raises(ValueError):
-        sampler.evaluate_process_grid(process, [-0.01])
+        sampler.evaluate_process_grid(batch, [-0.01])
     with pytest.raises(ValueError):
-        sampler.evaluate_process_grid(process, [1.01])
+        sampler.evaluate_process_grid(batch, [1.01])
     with pytest.raises(ValueError):
-        sampler.evaluate_process_grid(process, np.array([0.5, 1.5]))
+        sampler.evaluate_process_grid(batch, np.array([0.5, 1.5]))
 
 
 def test_skeleton_validation_errors():
-    with pytest.raises(ValueError):
-        sampler.require_skeleton(Skeleton(increments=(), n=0))
-    with pytest.raises(ValueError):
-        sampler.require_skeleton(Skeleton(increments=(FrameSplit(0, (1,)),), n=0))
-    with pytest.raises(ValueError):
-        sampler.require_skeleton(Skeleton(increments=(FrameSplit(2, (0,)),), n=3))
+    with pytest.raises(ValueError, match="no increments"):
+        SkeletonBatch(n=0, steps=np.zeros((0, 2), dtype=np.int64), offsets=np.array([0, 0]))
+    with pytest.raises(ValueError, match="advance"):
+        batch_of(Skeleton(increments=(FrameSplit(0, (1,)),), n=0))
+    with pytest.raises(ValueError, match="span"):
+        batch_of(Skeleton(increments=(FrameSplit(2, (0,)),), n=3))
     drifting = Skeleton(increments=(FrameSplit(1, (1,)), FrameSplit(1, (1,))), n=2)
-    with pytest.raises(ValueError):
-        sampler.scale_skeleton(drifting)
+    with pytest.raises(ValueError, match="pinned"):
+        batch_of(drifting)
+    # one bad skeleton among good ones is enough
+    good = Skeleton(increments=(FrameSplit(2, (0,)),), n=2)
+    with pytest.raises(ValueError, match="pinned"):
+        batch_of(good, drifting, good)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from sawbridge import counting, renewal, sampler, stats
 from sawbridge.counting import WalkClass
 from sawbridge.lattice import FrameSplit
-from sawbridge.sampler import Skeleton
+from sawbridge.sampler import Skeleton, SkeletonBatch
 from sawbridge.stats import DegenerateFitError, SkeletonMismatchError
 
 from oracles import (
+    batch_of,
     brownian_bridge_covariance,
     exact_gap_fraction,
     longer_than_cube_root,
@@ -28,6 +29,12 @@ def synthetic_ensemble(
         values = values[:, None]
     return stats.Ensemble(
         n=n, grid=grid, values=values[:, :, None], seed=seed, law_digest="synthetic"
+    )
+
+
+def empty_batch() -> SkeletonBatch:
+    return SkeletonBatch(
+        n=2, steps=np.zeros((0, 2), dtype=np.int64), offsets=np.zeros(1, dtype=np.int64)
     )
 
 
@@ -84,13 +91,10 @@ def test_build_ensemble_shape_and_provenance(law_l9):
 def test_build_ensemble_rejects_bad_input(law_l9):
     grid = stats.default_grid()
     with pytest.raises(ValueError):
-        stats.build_ensemble([], grid, seed=0)
-    mixed = [
-        Skeleton(increments=(FrameSplit(2, (0,)),), n=2),
-        Skeleton(increments=(FrameSplit(3, (0,)),), n=3),
-    ]
+        stats.build_ensemble(empty_batch(), grid, seed=0)
+    one = batch_of(Skeleton(increments=(FrameSplit(2, (0,)),), n=2))
     with pytest.raises(ValueError):
-        stats.build_ensemble(mixed, grid, seed=0)
+        stats.build_ensemble(one, np.array([0.0, 0.5]), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +258,19 @@ def unit_skeleton(n: int) -> Skeleton:
 
 
 def test_gap_statistic_degenerate_cases():
-    assert stats.gap_statistic([unit_skeleton(2)] * 5, 2) == 0.0
+    assert stats.gap_statistic(batch_of(*[unit_skeleton(2)] * 5), 2) == 0.0
     # a single unit step has norm exactly 1 = 1^(1/3), not above it
-    assert stats.gap_statistic([unit_skeleton(1)], 1) == 0.0
+    assert stats.gap_statistic(batch_of(unit_skeleton(1)), 1) == 0.0
 
 
 def test_gap_statistic_counts_wide_jumps():
     wide = Skeleton(increments=(FrameSplit(1, (3,)), FrameSplit(1, (-3,))), n=2)
-    flock = [unit_skeleton(2), wide, unit_skeleton(2), wide]
+    flock = batch_of(unit_skeleton(2), wide, unit_skeleton(2), wide)
     assert stats.gap_statistic(flock, 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         stats.gap_statistic(flock, 3)
     with pytest.raises(ValueError):
-        stats.gap_statistic([], 2)
+        stats.gap_statistic(empty_batch(), 2)
 
 
 def test_gap_statistic_norm_equal_to_cube_root_is_not_above_it():
@@ -277,13 +281,13 @@ def test_gap_statistic_norm_equal_to_cube_root_is_not_above_it():
         + (FrameSplit(1, (0,)),) * 119,
         n=125,
     )
-    assert stats.gap_statistic([skeleton], 125) == 0.0
+    assert stats.gap_statistic(batch_of(skeleton), 125) == 0.0
     longer = Skeleton(
         increments=(FrameSplit(3, (5,)), FrameSplit(3, (-5,)))
         + (FrameSplit(1, (0,)),) * 119,
         n=125,
     )
-    assert stats.gap_statistic([skeleton, longer], 125) == pytest.approx(0.5)
+    assert stats.gap_statistic(batch_of(skeleton, longer), 125) == pytest.approx(0.5)
 
 
 def test_exact_gap_fraction_matches_brute_force_law(law_l9):
@@ -311,6 +315,11 @@ def test_gap_fraction_decreases_with_span(law_l9):
             law_l9, table, seed=4, replicates=range(3000)
         )
         fractions[n] = stats.gap_statistic(skeletons, n)
+        longer = [
+            any(longer_than_cube_root(s.t, s.y, n) for s in skeleton.increments)
+            for skeleton in skeletons
+        ]
+        assert fractions[n] == sum(longer) / len(longer)
     assert fractions[27] >= fractions[64]
     assert fractions[64] < 1.0
 

@@ -1,0 +1,40 @@
+"""The benchmark tracer wraps program functions by module and name, and
+reads the sampler's result; these checks keep that contract visible to
+the tier-1 suite, so a rename or a changed result type fails here rather
+than in a traced benchmark run."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from sawbridge import counting, renewal, sampler
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patched_attribute_resolves():
+    tracer = load_tracer()
+    for module_name, attr, _, _ in tracer.PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_unique_states_reads_a_sampled_batch():
+    tracer = load_tracer()
+    irr = counting.enumerate_counts(2, 7, counting.WalkClass.IRREDUCIBLE_BRIDGE)
+    law = renewal.build_step_law(irr, 1.2, renewal.calibrate_mass(irr, 1.2))
+    batch = sampler.sample_skeletons(
+        law, sampler.dp_partition(law, 6), seed=0, replicates=range(40)
+    )
+    steps = sum(len(skeleton.increments) for skeleton in batch)
+    assert steps == len(batch.steps)
+    assert 0 < tracer.unique_states(batch) <= steps
