@@ -20,13 +20,26 @@ the search carries a per-level down-crossing count and the number of
 interior levels with none.  Each move updates this state in O(1) and
 undoes it on backtrack.
 
+Signed axis permutations map walks onto walks, so the search visits only
+canonical walks: first step +e1, and first step off the e1 axis (the
+"first turn") +e2.  They are the subtrees rooted at the prefixes
+(0, e1, ..., k e1, k e1 + e2) for k = 1..cutoff-1; the straight walks are
+counted apart.  One signed permutation per (first step, first turn) pair
+sends e1 to the first step, e2 to the first turn and the other axes to
+the remaining axes in order with sign +1; each such orbit map carries the
+canonical walks one-to-one onto the walks with that step and turn.  The
+bridge classes depend only on e1 levels, so they use the 2(d-1) maps that
+fix e1.  The full table is rebuilt from the canonical one by mapping each
+endpoint row once per map.
+
 Sites are encoded as single integers (mixed-radix over the reachable box)
 so the visited set and endpoint keys are plain ints; decoding happens once
 per table, after the search.
 
-Parallel enumeration splits the tree at a fixed prefix depth and merges
-per-subtree counts by integer addition, so results are independent of the
-thread count and of task scheduling order.
+Parallel enumeration splits the canonical subtrees at a fixed prefix depth
+(a subtree rooted deeper is one task as a whole) and merges per-subtree
+counts by integer addition, so results are independent of the thread
+count and of task scheduling order.
 """
 
 from __future__ import annotations
@@ -113,7 +126,12 @@ def check_dimension(d: int) -> None:
 
 
 def estimate_nodes(d: int, cutoff: int) -> float:
-    """Upper estimate of the number of search-tree nodes up to the cutoff."""
+    """Upper estimate of the number of walks of at most `cutoff` steps.
+
+    This bounds the full walk tree, which is about 2d * 2(d-1) times
+    larger than the symmetry-reduced search of the ALL class; the budget
+    guard still compares the full tree against the budget.
+    """
     check_dimension(d)
     mu = _GROWTH_BOUND[d]
     return sum(mu**k for k in range(cutoff + 1))
@@ -330,6 +348,89 @@ def _subtree_counts(task: tuple[int, int, str, tuple[int, ...]]) -> dict[int, li
     )
 
 
+def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None:
+    for code, row in part.items():
+        old = acc.get(code)
+        if old is None:
+            acc[code] = row
+        else:
+            for i, c in enumerate(row):
+                old[i] += c
+
+
+def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[tuple[int, int], ...]]:
+    """Signed axis maps carrying the canonical walks onto the whole class.
+
+    Map m sends axis i to axis m[i][0] with sign m[i][1]: e1 to a first
+    step, e2 to a first turn, the other axes to the remaining axes in
+    order with sign +1.  Bridges always step +e1 first.
+    """
+    if walk_class is WalkClass.ALL:
+        first_steps = [(a, s) for a in range(d) for s in (1, -1)]
+    else:
+        first_steps = [(0, 1)]
+    maps = []
+    for a1, s1 in first_steps:
+        for a2 in range(d):
+            if a2 == a1:
+                continue
+            rest = tuple((a, 1) for a in range(d) if a not in (a1, a2))
+            for s2 in (1, -1):
+                maps.append(((a1, s1), (a2, s2)) + rest)
+    return maps
+
+
+def _in_class(walk_class: WalkClass, path: Sequence[Site]) -> bool:
+    if walk_class is WalkClass.ALL:
+        return True
+    anatomy = classify_bridge(path)
+    return anatomy.is_bridge and (
+        walk_class is WalkClass.BRIDGE or not anatomy.break_points
+    )
+
+
+def _rebuild_table(
+    d: int, cutoff: int, walk_class: WalkClass, canonical: dict[int, list[int]]
+) -> dict[Site, np.ndarray]:
+    """Endpoint-sorted table of the class from its canonical-walk counts.
+
+    Each canonical row is added once per orbit map; the straight walks,
+    which have no first turn, are added once each.
+    """
+    counts: dict[Site, np.ndarray] = {}
+
+    def row(site: Site) -> np.ndarray:
+        acc = counts.get(site)
+        if acc is None:
+            acc = counts[site] = np.zeros(cutoff + 1, dtype=np.int64)
+        return acc
+
+    maps = _orbit_maps(d, walk_class)
+    image = [0] * d
+    for code, canonical_row in canonical.items():
+        site = _decode(code, d, cutoff)
+        arr = np.array(canonical_row, dtype=np.int64)
+        for m in maps:
+            for x, (axis, sign) in zip(site, m):
+                image[axis] = sign * x
+            acc = row(tuple(image))
+            acc += arr
+
+    start = origin(d)
+    if _in_class(walk_class, [start]):
+        row(start)[0] += 1
+    for step in unit_steps(d):
+        path = [start]
+        for k in range(1, cutoff + 1):
+            path.append(site_add(path[-1], step))
+            if _in_class(walk_class, path):
+                row(path[-1])[k] += 1
+
+    for arr in counts.values():
+        arr.flags.writeable = False
+    return dict(sorted(counts.items()))
+
+
 def enumerate_counts(
     d: int,
     cutoff: int,
@@ -341,9 +442,12 @@ def enumerate_counts(
 ) -> CountTable:
     """Exhaustively count walks of one class up to `cutoff` steps.
 
-    With threads > 1 the tree is split at `split_depth` into independent
-    subtree tasks executed in a process pool; counts merge by addition, so
-    the result is identical for every thread count.
+    The search covers the canonical walks only (first step +e1, first turn
+    +e2) and the table is rebuilt from them by the orbit maps; see the
+    module docstring.  With threads > 1 each canonical subtree is split at
+    `split_depth` into independent tasks executed in a process pool (a
+    subtree rooted deeper is one task); counts merge by addition, so the
+    result is identical for every thread count.
     """
     check_dimension(d)
     if cutoff < 0:
@@ -351,33 +455,35 @@ def enumerate_counts(
     estimate = estimate_nodes(d, cutoff)
     if estimate > node_budget:
         raise BudgetExceededError(
-            f"estimated {estimate:.2e} search nodes exceeds budget {node_budget:.2e}"
+            f"estimated {estimate:.2e} walk-tree nodes (the full tree, not the "
+            f"symmetry-reduced search) exceeds budget {node_budget:.2e}"
         )
 
-    start = (_encode_origin(d, cutoff),)
-    if threads <= 1 or cutoff <= split_depth:
-        raw = _explore(d, cutoff, walk_class, start, 0, None, None)
-    else:
-        prefixes: list[tuple[int, ...]] = []
-        raw = _explore(d, cutoff, walk_class, start, 0, split_depth, prefixes)
+    step_e1, _, step_e2 = _axis_offsets(d, cutoff)[:3]
+    spine = [_encode_origin(d, cutoff)]
+    roots: list[tuple[int, ...]] = []
+    for _ in range(1, cutoff):
+        spine.append(spine[-1] + step_e1)
+        roots.append((*spine, spine[-1] + step_e2))
+
+    split = threads > 1 and cutoff > split_depth
+    stop = split_depth if split else None
+    canonical: dict[int, list[int]] = {}
+    prefixes: list[tuple[int, ...]] = []
+    for root in roots:
+        if split and len(root) - 1 > split_depth:
+            prefixes.append(root)
+            continue
+        part = _explore(d, cutoff, walk_class, root, len(root) - 1, stop, prefixes)
+        _merge_counts(canonical, part)
+    if prefixes:
         tasks = [(d, cutoff, walk_class.value, p) for p in prefixes]
         chunk = max(1, len(tasks) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_subtree_counts, tasks, chunksize=chunk):
-                for code, row in part.items():
-                    acc = raw.get(code)
-                    if acc is None:
-                        raw[code] = row
-                    else:
-                        for i, c in enumerate(row):
-                            acc[i] += c
+                _merge_counts(canonical, part)
 
-    counts: dict[Site, np.ndarray] = {}
-    for code in sorted(raw):
-        arr = np.array(raw[code], dtype=np.int64)
-        arr.flags.writeable = False
-        counts[_decode(code, d, cutoff)] = arr
-    counts = dict(sorted(counts.items()))
+    counts = _rebuild_table(d, cutoff, walk_class, canonical)
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,22 @@ from sawbridge import counting
 from sawbridge.counting import WalkClass
 from sawbridge.lattice import FrameSplit
 
-C_SQUARE = [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100]
+# OEIS A001411: self-avoiding walks on Z^2 by number of steps.
+C_SQUARE = [
+    1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100, 120292, 324932, 881500,
+]
+
+# sha256 of the save_count_table bytes (no config) written from tables of the
+# unreduced depth-first search over every walk; the symmetry-reduced search
+# must reproduce them byte for byte.
+GOLDEN_CACHE_SHA256 = {
+    (2, 11, WalkClass.ALL): "c8891286541a58dd38bdedb2438c1289122f91ae71cc4cccff72139fc6b6c36e",
+    (2, 11, WalkClass.BRIDGE): "b0fcc41d6ac223f568a48c54d9e3baad6edd46b0d16d28ef62ce7d4d8f78ccf2",
+    (2, 11, WalkClass.IRREDUCIBLE_BRIDGE): "febbba2a3fc8a9aa791f893d4e5df90b5a41acfca477b97c121fb7d662d804ce",
+    (3, 6, WalkClass.ALL): "342e0212797347fa5901a559f1bdcd6b4d0c13958a0a4a7fea521230db6d4cfd",
+    (3, 6, WalkClass.BRIDGE): "e841a068d863b4a5af3e496436957d71b89d4e09ad6674c1541628c19aa7ed3b",
+    (3, 6, WalkClass.IRREDUCIBLE_BRIDGE): "e7356948968f4e499435458ab8ea88817a13e039e37bd563b4a049fe43b5e1f5",
+}
 
 
 def assert_table_matches_naive(table: counting.CountTable, naive: dict) -> None:
@@ -30,6 +46,11 @@ def assert_table_matches_naive(table: counting.CountTable, naive: dict) -> None:
         (3, 4, "all", WalkClass.ALL),
         (3, 5, "bridge", WalkClass.BRIDGE),
         (3, 5, "irreducible", WalkClass.IRREDUCIBLE_BRIDGE),
+        # d = 4 is the first dimension where an orbit map has more than one
+        # remaining axis to place
+        (4, 3, "all", WalkClass.ALL),
+        (4, 4, "bridge", WalkClass.BRIDGE),
+        (4, 4, "irreducible", WalkClass.IRREDUCIBLE_BRIDGE),
     ],
 )
 def test_counts_match_naive_oracle(d, cutoff, kind, walk_class):
@@ -39,11 +60,16 @@ def test_counts_match_naive_oracle(d, cutoff, kind, walk_class):
 
 def test_totals_reproduce_known_square_lattice_counts(all_table_l10):
     totals, growth = counting.total_counts(all_table_l10)
-    assert list(totals) == C_SQUARE
+    assert list(totals) == C_SQUARE[:11]
     assert len(growth) == 10
     assert all(g > 0 for g in growth)
     # c_N^(1/N) decreases toward the growth constant on this range
     assert all(a > b for a, b in zip(growth, growth[1:]))
+
+
+def test_totals_reproduce_known_square_lattice_counts_to_13_steps():
+    totals, _ = counting.total_counts(counting.enumerate_counts(2, 13, WalkClass.ALL))
+    assert list(totals) == C_SQUARE
 
 
 def test_subadditivity_of_counts(all_table_l10):
@@ -159,7 +185,7 @@ def test_classify_matches_oracle_on_all_paths_to_ten_steps():
             assert anatomy.break_points == ()
             assert anatomy.regeneration_sites == ()
         checked += 1
-    assert checked == sum(C_SQUARE)
+    assert checked == sum(C_SQUARE[:11])
 
 
 @given(oracles.walk_strategy(3, max_steps=10))
@@ -227,10 +253,18 @@ def test_transverse_symmetry(d, cutoff, walk_class):
             assert np.array_equal(row, table.row((site[0],) + image))
 
 
+# Depth 1 is shallower than every canonical subtree root, so each subtree
+# is one pool task; deeper splits also run the prefix pass.
+@pytest.mark.parametrize(
+    "d,cutoff,split_depth",
+    [(2, 7, depth) for depth in range(1, 8)] + [(3, 5, depth) for depth in range(1, 6)],
+)
 @pytest.mark.parametrize("walk_class", list(WalkClass))
-def test_parallel_enumeration_matches_serial(walk_class):
-    serial = counting.enumerate_counts(2, 7, walk_class)
-    parallel = counting.enumerate_counts(2, 7, walk_class, threads=3, split_depth=3)
+def test_parallel_enumeration_matches_serial(walk_class, d, cutoff, split_depth):
+    serial = counting.enumerate_counts(d, cutoff, walk_class)
+    parallel = counting.enumerate_counts(
+        d, cutoff, walk_class, threads=3, split_depth=split_depth
+    )
     assert serial.endpoints() == parallel.endpoints()
     for site in serial.endpoints():
         assert np.array_equal(serial.counts[site], parallel.counts[site])
@@ -269,6 +303,18 @@ def test_cache_roundtrip(tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"nonsense")
         counting.load_count_table(empty)
+
+
+@pytest.mark.parametrize("threads,split_depth", [(1, counting.DEFAULT_SPLIT_DEPTH), (2, 3)])
+@pytest.mark.parametrize("d,cutoff,walk_class", list(GOLDEN_CACHE_SHA256))
+def test_cache_bytes_match_golden_digest(tmp_path, d, cutoff, walk_class, threads, split_depth):
+    table = counting.enumerate_counts(
+        d, cutoff, walk_class, threads=threads, split_depth=split_depth
+    )
+    path = tmp_path / "table.bin"
+    counting.save_count_table(table, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CACHE_SHA256[(d, cutoff, walk_class)]
 
 
 def test_cache_rewrite_is_byte_identical(tmp_path):
