@@ -38,8 +38,11 @@ def main() -> int:
         walk_class: counting.enumerate_counts(
             args.d, args.L, walk_class, threads=args.threads
         )
-        for walk_class in counting.WalkClass
+        for walk_class in (counting.WalkClass.ALL, counting.WalkClass.BRIDGE)
     }
+    tables[counting.WalkClass.IRREDUCIBLE_BRIDGE] = counting.irreducible_counts(
+        tables[counting.WalkClass.BRIDGE]
+    )
     gap = renewal.mass_gap_diagnostic(
         tables[counting.WalkClass.BRIDGE],
         tables[counting.WalkClass.IRREDUCIBLE_BRIDGE],

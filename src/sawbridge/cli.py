@@ -44,7 +44,7 @@ from .reporting import (
     write_csv_report,
     write_json_report,
 )
-from .sampler import LeakageError, Skeleton
+from .sampler import LeakageError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,17 +96,21 @@ def process_path(config: ExperimentConfig, n: int) -> Path:
 def cmd_enumerate(config: ExperimentConfig) -> None:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    tables = {}
-    for walk_class in WalkClass:
-        table = counting.enumerate_counts(
+    tables = {
+        walk_class: counting.enumerate_counts(
             config.d, config.cutoff, walk_class, threads=config.threads
         )
+        for walk_class in (WalkClass.ALL, WalkClass.BRIDGE)
+    }
+    tables[WalkClass.IRREDUCIBLE_BRIDGE] = counting.irreducible_counts(
+        tables[WalkClass.BRIDGE]
+    )
+    for walk_class, table in tables.items():
         counting.save_count_table(
             table,
             cache_path(config, walk_class),
             config=provenance(config, "d", "cutoff"),
         )
-        tables[walk_class] = table
     totals, growth = counting.total_counts(tables[WalkClass.ALL])
     rows = [[0, int(totals[0]), ""]]
     rows += [
@@ -224,10 +228,7 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
         walks = sampler.ExhaustiveWalkSampler(2, n, beta, cutoff)
         weights = np.exp(-beta * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
-        values = []
-        for path in walks.paths:
-            skeleton = Skeleton(increments=counting.bridge_skeleton(path), n=n)
-            values.append(stats.shrinking_statistic(path, skeleton, n))
+        values = [stats.shrinking_statistic(path, n) for path in walks.paths]
         rows.append(
             {
                 "n": n,

@@ -6,7 +6,7 @@ two-point weight.  That keeps every structural identity (class domination,
 the renewal convolution of bridge counts, skeleton laws) checkable with
 zero tolerance.
 
-Three walk classes share one depth-first search skeleton:
+Three walk classes are tabulated:
 
 * ALL: every self-avoiding walk from the origin.
 * BRIDGE: the first coordinate of every site after the start is >= 1 and
@@ -14,11 +14,11 @@ Three walk classes share one depth-first search skeleton:
 * IRREDUCIBLE_BRIDGE: a bridge none of whose interior levels k splits it
   into "everything <= k, then everything > k".
 
-The irreducibility test is incremental: level k in (0, max level) is a
-break point iff the walk never steps down across the k/k+1 boundary, so
-the search carries a per-level down-crossing count and the number of
-interior levels with none.  Each move updates this state in O(1) and
-undoes it on backtrack.
+ALL and BRIDGE are counted by one depth-first search skeleton (the whole
+lattice, or the half-space above the origin).  IRREDUCIBLE_BRIDGE is not
+searched: a bridge splits uniquely at its break levels into irreducible
+ones, so its table is solved exactly from the bridge table by renewal
+deconvolution (`irreducible_counts`).
 
 Signed axis permutations map walks onto walks, so the search visits only
 canonical walks: first step +e1, and first step off the e1 axis (the
@@ -27,9 +27,9 @@ canonical walks: first step +e1, and first step off the e1 axis (the
 counted apart.  One signed permutation per (first step, first turn) pair
 sends e1 to the first step, e2 to the first turn and the other axes to
 the remaining axes in order with sign +1; each such orbit map carries the
-canonical walks one-to-one onto the walks with that step and turn.  The
-bridge classes depend only on e1 levels, so they use the 2(d-1) maps that
-fix e1.  The full table is rebuilt from the canonical one by mapping each
+canonical walks one-to-one onto the walks with that step and turn.
+Bridges depend only on e1 levels, so they use the 2(d-1) maps that fix
+e1.  The full table is rebuilt from the canonical one by mapping each
 endpoint row once per map.
 
 Sites are encoded as single integers (mixed-radix over the reachable box)
@@ -213,54 +213,31 @@ def _explore_halfspace(
     d: int,
     cutoff: int,
     prefix: tuple[int, ...],
-    want_irreducible: bool,
     record_from: int,
     stop_depth: int | None,
     sink: list[tuple[int, ...]] | None,
 ) -> dict[int, list[int]]:
-    """Count bridges (or irreducible bridges) below an encoded path prefix.
+    """Count bridges below an encoded path prefix.
 
     The search tree is the half-space tree: every site after the origin
     has first coordinate >= 1.  A node is recorded iff its endpoint level
-    equals the running maximum (it is a bridge), and for the irreducible
-    class additionally no interior level is free of down-crossings.
+    equals the running maximum `top` (it is a bridge).
     """
     base = 2 * cutoff + 1
     offsets = _axis_offsets(d, cutoff)
-    off_up, off_down = offsets[0], offsets[1]
-    offsets_t = offsets[2:]
     visited = set(prefix)
     stack = list(prefix)
     counts: dict[int, list[int]] = {}
     stop = -1 if stop_depth is None else stop_depth
     width = cutoff + 1
-
-    # Replay the prefix to recover the level bookkeeping at its tip.
     lvls = [c % base - cutoff for c in prefix]
-    maxlvl = 0
-    down = [0] * (cutoff + 2)
-    zero_below = 0
-    for prev, cur in zip(lvls, lvls[1:]):
-        if cur > prev:
-            if cur > maxlvl:
-                maxlvl = cur
-                if cur >= 2:
-                    zero_below += 1
-        elif cur < prev:
-            if down[cur] == 0:
-                zero_below -= 1
-            down[cur] += 1
+    moves = [(offsets[0], 1), (offsets[1], -1), *((off, 0) for off in offsets[2:])]
 
-    def rec(pos: int, x0: int, depth: int) -> None:
-        nonlocal maxlvl, zero_below
+    def rec(pos: int, x0: int, top: int, depth: int) -> None:
         if depth == stop:
             sink.append(tuple(stack))
             return
-        if (
-            depth >= record_from
-            and x0 == maxlvl
-            and (not want_irreducible or zero_below == 0)
-        ):
+        if depth >= record_from and x0 == top:
             row = counts.get(pos)
             if row is None:
                 row = counts[pos] = [0] * width
@@ -268,84 +245,28 @@ def _explore_halfspace(
         if depth == cutoff:
             return
         nd = depth + 1
-
-        nxt = pos + off_up
-        if nxt not in visited:
-            nx0 = x0 + 1
-            grew = nx0 > maxlvl
-            if grew:
-                maxlvl = nx0
-                if nx0 >= 2:
-                    zero_below += 1
+        for off, rise in moves:
+            nxt = pos + off
+            nx0 = x0 + rise
+            if nx0 < 1 or nxt in visited:
+                continue
             visited.add(nxt)
             stack.append(nxt)
-            rec(nxt, nx0, nd)
+            rec(nxt, nx0, nx0 if nx0 > top else top, nd)
             stack.pop()
             visited.remove(nxt)
-            if grew:
-                maxlvl = nx0 - 1
-                if nx0 >= 2:
-                    zero_below -= 1
 
-        if x0 >= 2:
-            nxt = pos + off_down
-            if nxt not in visited:
-                k = x0 - 1
-                was = down[k]
-                if was == 0:
-                    zero_below -= 1
-                down[k] = was + 1
-                visited.add(nxt)
-                stack.append(nxt)
-                rec(nxt, k, nd)
-                stack.pop()
-                visited.remove(nxt)
-                down[k] = was
-                if was == 0:
-                    zero_below += 1
-
-        if x0 >= 1:
-            for off in offsets_t:
-                nxt = pos + off
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                stack.append(nxt)
-                rec(nxt, x0, nd)
-                stack.pop()
-                visited.remove(nxt)
-
-    rec(prefix[-1], lvls[-1], len(prefix) - 1)
+    rec(prefix[-1], lvls[-1], max(lvls), len(prefix) - 1)
     return counts
 
 
-def _explore(
-    d: int,
-    cutoff: int,
-    walk_class: WalkClass,
-    prefix: tuple[int, ...],
-    record_from: int,
-    stop_depth: int | None,
-    sink: list[tuple[int, ...]] | None,
-) -> dict[int, list[int]]:
-    if walk_class is WalkClass.ALL:
-        return _explore_all(d, cutoff, prefix, record_from, stop_depth, sink)
-    return _explore_halfspace(
-        d,
-        cutoff,
-        prefix,
-        walk_class is WalkClass.IRREDUCIBLE_BRIDGE,
-        record_from,
-        stop_depth,
-        sink,
-    )
+_SEARCHES = {WalkClass.ALL: _explore_all, WalkClass.BRIDGE: _explore_halfspace}
 
 
 def _subtree_counts(task: tuple[int, int, str, tuple[int, ...]]) -> dict[int, list[int]]:
     d, cutoff, class_value, prefix = task
-    return _explore(
-        d, cutoff, WalkClass(class_value), prefix, len(prefix) - 1, None, None
-    )
+    search = _SEARCHES[WalkClass(class_value)]
+    return search(d, cutoff, prefix, len(prefix) - 1, None, None)
 
 
 def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None:
@@ -380,15 +301,6 @@ def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[tuple[int, int], ..
     return maps
 
 
-def _in_class(walk_class: WalkClass, path: Sequence[Site]) -> bool:
-    if walk_class is WalkClass.ALL:
-        return True
-    anatomy = classify_bridge(path)
-    return anatomy.is_bridge and (
-        walk_class is WalkClass.BRIDGE or not anatomy.break_points
-    )
-
-
 def _rebuild_table(
     d: int, cutoff: int, walk_class: WalkClass, canonical: dict[int, list[int]]
 ) -> dict[Site, np.ndarray]:
@@ -416,15 +328,12 @@ def _rebuild_table(
             acc = row(tuple(image))
             acc += arr
 
-    start = origin(d)
-    if _in_class(walk_class, [start]):
-        row(start)[0] += 1
-    for step in unit_steps(d):
-        path = [start]
+    row(origin(d))[0] += 1
+    # +e1 is the only direction whose straight walks are bridges
+    steps = unit_steps(d) if walk_class is WalkClass.ALL else unit_steps(d)[:1]
+    for step in steps:
         for k in range(1, cutoff + 1):
-            path.append(site_add(path[-1], step))
-            if _in_class(walk_class, path):
-                row(path[-1])[k] += 1
+            row(tuple(k * c for c in step))[k] += 1
 
     for arr in counts.values():
         arr.flags.writeable = False
@@ -447,8 +356,15 @@ def enumerate_counts(
     module docstring.  With threads > 1 each canonical subtree is split at
     `split_depth` into independent tasks executed in a process pool (a
     subtree rooted deeper is one task); counts merge by addition, so the
-    result is identical for every thread count.
+    result is identical for every thread count.  IRREDUCIBLE_BRIDGE counts
+    the bridges this way and derives its table with `irreducible_counts`.
     """
+    if walk_class is WalkClass.IRREDUCIBLE_BRIDGE:
+        bridge = enumerate_counts(
+            d, cutoff, WalkClass.BRIDGE,
+            threads=threads, split_depth=split_depth, node_budget=node_budget,
+        )
+        return irreducible_counts(bridge)
     check_dimension(d)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
@@ -474,7 +390,7 @@ def enumerate_counts(
         if split and len(root) - 1 > split_depth:
             prefixes.append(root)
             continue
-        part = _explore(d, cutoff, walk_class, root, len(root) - 1, stop, prefixes)
+        part = _SEARCHES[walk_class](d, cutoff, root, len(root) - 1, stop, prefixes)
         _merge_counts(canonical, part)
     if prefixes:
         tasks = [(d, cutoff, walk_class.value, p) for p in prefixes]
@@ -485,6 +401,63 @@ def enumerate_counts(
 
     counts = _rebuild_table(d, cutoff, walk_class, canonical)
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
+
+
+def irreducible_counts(bridge: CountTable) -> CountTable:
+    """Irreducible-bridge table derived from a bridge table.
+
+    A bridge of height h >= 1 splits at its lowest break level a into an
+    irreducible bridge of height a and a bridge of height h - a, so
+    B_h = I_h + sum_{0<a<h} I_a * B_{h-a}, where * convolves in the
+    transverse endpoint and in length.  Solving for I_h level by level is
+    exact in int64: every partial sum counts distinct bridges of height h.
+    Level h is a dense array over the transverse box |y_i| <= cutoff - h
+    (room for any bridge of height h) and the step numbers.  Each product
+    loops over the nonzero entries of its sparser factor and slice-adds
+    the other factor, shifted by the entry and clipped to both boxes.
+    """
+    if bridge.walk_class is not WalkClass.BRIDGE:
+        raise ValueError("irreducible_counts requires a BRIDGE-class table")
+    d, cutoff = bridge.d, bridge.cutoff
+    levels = [
+        np.zeros((2 * (cutoff - h) + 1,) * (d - 1) + (cutoff + 1,), dtype=np.int64)
+        for h in range(cutoff + 1)
+    ]
+    for (h, *y), row in bridge.counts.items():
+        levels[h][tuple(c + cutoff - h for c in y)] = row
+    irreducible = [levels[0]]
+    for h in range(1, cutoff + 1):
+        acc = levels[h].copy()
+        for a in range(1, h):
+            sparse, dense = irreducible[a], levels[h - a]
+            if np.count_nonzero(sparse) > np.count_nonzero(dense):
+                sparse, dense = dense, sparse
+            # entry (i, n) of one factor meets entry (g, m) of the other at
+            # acc index g - (cutoff - i) per transverse axis and length n + m;
+            # the other's height is cutoff - reach, so only n <= reach counts
+            reach = dense.shape[0] // 2
+            for *idx, n in np.argwhere(sparse[..., : reach + 1]).tolist():
+                box, src = [], []
+                for i in idx:
+                    lo = max(0, i - cutoff)
+                    hi = min(acc.shape[0], dense.shape[0] + i - cutoff)
+                    box.append(slice(lo, hi))
+                    src.append(slice(lo + cutoff - i, hi + cutoff - i))
+                acc[(*box, slice(n, None))] -= (
+                    sparse[(*idx, n)] * dense[(*src, slice(0, cutoff + 1 - n))]
+                )
+        irreducible.append(acc)
+
+    counts: dict[Site, np.ndarray] = {}
+    for h, level in enumerate(irreducible):
+        nonzero = level.any(axis=-1)
+        rows = level[nonzero]
+        rows.flags.writeable = False
+        for y, row in zip(np.argwhere(nonzero).tolist(), rows):
+            counts[(h, *(c - (cutoff - h) for c in y))] = row
+    return CountTable(
+        d=d, cutoff=cutoff, walk_class=WalkClass.IRREDUCIBLE_BRIDGE, counts=counts
+    )
 
 
 def length_weights(cutoff: int, beta: float) -> np.ndarray:

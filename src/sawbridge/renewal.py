@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -333,11 +332,3 @@ def step_law_from_json(text: str) -> StepLaw:
     if abs(law.total_mass() - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError("step law mass is off after deserialization")
     return law
-
-
-def save_step_law(law: StepLaw, path: str | Path) -> None:
-    Path(path).write_text(step_law_to_json(law) + "\n", encoding="utf-8")
-
-
-def load_step_law(path: str | Path) -> StepLaw:
-    return step_law_from_json(Path(path).read_text(encoding="utf-8"))

@@ -18,8 +18,8 @@ Sampling is batched: replicate streams are independent, and every
 per-replicate decision uses that replicate's own uniforms, so results
 are bit-identical regardless of batch or thread partitioning.
 
-Full walks (not just skeletons) can be drawn only by exhaustive
-enumeration at small n; that sampler lives here too.
+Full walks (not just skeletons) are available only by exhaustive
+enumeration at small n; that enumeration lives here too.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .counting import NoBridgesError, iter_bridges_to_axis_point
 from .lattice import FrameSplit, Site
 from .renewal import StepLaw
-from .rng import replicate_generator, uniform_block
+from .rng import uniform_block
 
 MAX_LEAKAGE = 1e-6
 
@@ -414,11 +414,11 @@ def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
 
 
 class ExhaustiveWalkSampler:
-    """Exact full-walk sampler at small n, by total bridge enumeration.
+    """Every bridge to (n, 0̃) within the step cutoff, by total enumeration.
 
-    Holds every bridge to (n, 0̃) within the step cutoff and draws
-    proportionally to e^{-beta * steps}.  Practical only where the bridge
-    count is modest (n up to about 7 in the plane); build once, draw many.
+    The full-walk law weights each path in `paths` by e^{-beta * steps}.
+    Practical only where the bridge count is modest (n up to about 7 in
+    the plane).
     """
 
     _SPAN_CAP = {2: 7, 3: 5, 4: 4}
@@ -435,21 +435,3 @@ class ExhaustiveWalkSampler:
             raise NoBridgesError(
                 f"no bridge reaches ({n}, 0) within {cutoff} steps"
             )
-        weights = np.exp(-beta * np.array([len(p) - 1 for p in self.paths], float))
-        self._cumulative = np.cumsum(weights)
-
-    def length_distribution(self) -> dict[int, float]:
-        """Exact law of the walk length, for verification."""
-        weights: dict[int, float] = {}
-        for p in self.paths:
-            weights[len(p) - 1] = weights.get(len(p) - 1, 0.0) + math.exp(
-                -self.beta * (len(p) - 1)
-            )
-        total = math.fsum(weights.values())
-        return {length: w / total for length, w in sorted(weights.items())}
-
-    def sample(self, seed: int, replicate: int) -> tuple[Site, ...]:
-        u = float(replicate_generator(seed, replicate).random())
-        target = u * self._cumulative[-1]
-        idx = int(np.searchsorted(self._cumulative, target, side="right"))
-        return self.paths[min(idx, len(self.paths) - 1)]

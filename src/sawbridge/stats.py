@@ -28,7 +28,7 @@ import numpy as np
 
 from .counting import bridge_skeleton
 from .lattice import Site
-from .sampler import Skeleton, SkeletonBatch, evaluate_process_grid
+from .sampler import SkeletonBatch, evaluate_process_grid
 
 KS_SERIES_TERMS = 100
 MIN_KS_SAMPLE = 100
@@ -36,10 +36,6 @@ MIN_KS_SAMPLE = 100
 
 class DegenerateFitError(ValueError):
     """The empirical covariance carries no signal to fit."""
-
-
-class SkeletonMismatchError(ValueError):
-    """The supplied skeleton is not the walk's own regeneration skeleton."""
 
 
 @dataclass(frozen=True)
@@ -78,12 +74,6 @@ def require_grid(grid: np.ndarray) -> None:
         raise ValueError("grid times must lie strictly inside (0, 1)")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid times must be strictly increasing")
-
-
-def default_grid() -> np.ndarray:
-    """Nine interior deciles; endpoints are excluded because the bridge
-    variance vanishes there."""
-    return np.round(np.arange(1, 10) * 0.1, 10)
 
 
 def build_ensemble(
@@ -268,25 +258,21 @@ def _distance_to_polyline(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points[:, None, :] - nearest, axis=2).min(axis=1)
 
 
-def shrinking_statistic(walk: Sequence[Site], skeleton: Skeleton, n: int) -> float:
+def shrinking_statistic(walk: Sequence[Site], n: int) -> float:
     """Largest scaled distance from a walk vertex to its skeleton curve.
 
-    The walk and the skeleton interpolation are both mapped to scaled
-    coordinates (first component over n, transverse components over
-    sqrt(n)); the statistic is the sup over walk vertices of the
-    Euclidean distance to the piecewise-linear skeleton graph.
+    The skeleton is the walk's own regeneration skeleton.  The walk and
+    the skeleton interpolation are both mapped to scaled coordinates
+    (first component over n, transverse components over sqrt(n)); the
+    statistic is the sup over walk vertices of the Euclidean distance to
+    the piecewise-linear skeleton graph.
     """
-    own = bridge_skeleton(walk)
-    if tuple(skeleton.increments) != own or skeleton.n != walk[-1][0]:
-        raise SkeletonMismatchError(
-            "skeleton does not match the walk's regeneration decomposition"
-        )
     if walk[-1][0] != n or any(c != 0 for c in walk[-1][1:]):
         raise ValueError(f"walk must end on the axis at ({n}, 0)")
     scale = np.array([n] + [math.sqrt(n)] * (len(walk[0]) - 1), dtype=np.float64)
     points = np.asarray(walk, dtype=np.float64) / scale
     increments = np.array(
-        [(s.t, *s.y) for s in skeleton.increments], dtype=np.float64
+        [(s.t, *s.y) for s in bridge_skeleton(walk)], dtype=np.float64
     )
     knots = np.vstack((np.zeros(len(walk[0])), np.cumsum(increments, axis=0)))
     knots /= scale

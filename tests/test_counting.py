@@ -27,6 +27,10 @@ GOLDEN_CACHE_SHA256 = {
     (3, 6, WalkClass.ALL): "342e0212797347fa5901a559f1bdcd6b4d0c13958a0a4a7fea521230db6d4cfd",
     (3, 6, WalkClass.BRIDGE): "e841a068d863b4a5af3e496436957d71b89d4e09ad6674c1541628c19aa7ed3b",
     (3, 6, WalkClass.IRREDUCIBLE_BRIDGE): "e7356948968f4e499435458ab8ea88817a13e039e37bd563b4a049fe43b5e1f5",
+    # L = 13 is the cutoff of the long-span and short-span runs; d = 4 is the
+    # first case with three transverse axes to clip
+    (2, 13, WalkClass.IRREDUCIBLE_BRIDGE): "30db4d8134dab409356fa7affeb0a46546674993d63bc7728d06cca4ef194e6e",
+    (4, 6, WalkClass.IRREDUCIBLE_BRIDGE): "929b02e975d0c4c935a986097015529a3d490813df6c34ed37b88a29d630e702",
 }
 
 

@@ -153,7 +153,7 @@ def test_oz_prefactor_diagnostic(all_table_l10):
     assert np.all(inflated[1:] / inflated[:-1] > report.ratios)
 
 
-def test_step_law_json_roundtrip(tmp_path, step_law_l13):
+def test_step_law_json_roundtrip(step_law_l13):
     law = step_law_l13
     text = renewal.step_law_to_json(law)
     back = renewal.step_law_from_json(text)
@@ -164,9 +164,6 @@ def test_step_law_json_roundtrip(tmp_path, step_law_l13):
     assert steps == sorted(steps)
     assert payload["L"] == 13
 
-    path = tmp_path / "law.json"
-    renewal.save_step_law(law, path)
-    assert renewal.load_step_law(path) == law
     assert renewal.step_law_digest(back) == renewal.step_law_digest(law)
 
     payload["steps"][0]["p"] *= 2.0

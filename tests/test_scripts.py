@@ -1,0 +1,46 @@
+"""Smoke tests: each script under scripts/ runs to completion at a small size."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("decay_diagnostics.py", ("--L", "8")),
+        ("mass_convergence.py", ("--max-L", "8")),
+    ],
+)
+def test_script_exits_cleanly(name, args):
+    result = run_script(name, *args)
+    assert result.returncode == 0, result.stderr
+
+
+def test_campaign_script_runs_every_stage(tmp_path):
+    result = run_script(
+        "run_campaign.py", "--L", "9", "--n", "5,6", "--replicas", "200",
+        "--out", str(tmp_path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert "== oracle ==" in result.stdout

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawbridge import counting, renewal, sampler, stats
+from sawbridge.config import DEFAULT_GRID
 from sawbridge.counting import WalkClass
 from sawbridge.lattice import FrameSplit
 from sawbridge.sampler import Skeleton, SkeletonBatch
-from sawbridge.stats import DegenerateFitError, SkeletonMismatchError
+from sawbridge.stats import DegenerateFitError
 
 from oracles import (
     batch_of,
@@ -50,7 +51,7 @@ def small_ensemble(law_l9) -> stats.Ensemble:
     table = sampler.dp_partition(law_l9, 16)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=12, replicates=range(3000))
     return stats.build_ensemble(
-        skeletons, stats.default_grid(), seed=12, law_digest="cutoff-9 law"
+        skeletons, np.array(DEFAULT_GRID), seed=12, law_digest="cutoff-9 law"
     )
 
 
@@ -59,9 +60,7 @@ def small_ensemble(law_l9) -> stats.Ensemble:
 
 
 def test_default_grid_is_interior_deciles():
-    grid = stats.default_grid()
-    assert grid.tolist() == pytest.approx([0.1 * k for k in range(1, 10)])
-    stats.require_grid(grid)
+    stats.require_grid(np.array(DEFAULT_GRID))
 
 
 def test_grid_validation_errors():
@@ -80,7 +79,7 @@ def test_grid_validation_errors():
 def test_build_ensemble_shape_and_provenance(law_l9):
     table = sampler.dp_partition(law_l9, 8)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=1, replicates=range(40))
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     ensemble = stats.build_ensemble(skeletons, grid, seed=1, law_digest="tag")
     assert ensemble.values.shape == (40, 9, 1)
     assert ensemble.replicates == 40
@@ -89,7 +88,7 @@ def test_build_ensemble_shape_and_provenance(law_l9):
 
 
 def test_build_ensemble_rejects_bad_input(law_l9):
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     with pytest.raises(ValueError):
         stats.build_ensemble(empty_batch(), grid, seed=0)
     one = batch_of(Skeleton(increments=(FrameSplit(2, (0,)),), n=2))
@@ -102,12 +101,12 @@ def test_build_ensemble_rejects_bad_input(law_l9):
 
 
 def test_zero_ensemble_has_zero_covariance():
-    ens = synthetic_ensemble(np.zeros((50, 9)), stats.default_grid())
+    ens = synthetic_ensemble(np.zeros((50, 9)), np.array(DEFAULT_GRID))
     assert not stats.empirical_covariance(ens).any()
 
 
 def test_empirical_covariance_matches_gaussian_oracle():
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     cov_true = np.array(brownian_bridge_covariance(grid.tolist(), 1.0))
     rng = np.random.default_rng(1)
     draws = rng.multivariate_normal(np.zeros(grid.size), cov_true, size=20000)
@@ -127,7 +126,7 @@ def test_empirical_covariance_symmetric_and_diagonally_dominant(small_ensemble):
 
 
 def test_fit_recovers_exact_kernel():
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     fit = stats.fit_bridge_covariance(2.0 * stats.bridge_kernel(grid), grid)
     assert fit.sigma2_hat == pytest.approx(2.0, rel=1e-14)
     assert fit.rel_rms == pytest.approx(0.0, abs=1e-14)
@@ -140,14 +139,14 @@ def test_fit_recovers_exact_kernel():
     size=st.integers(2, 9),
 )
 def test_fit_recovers_any_scale_on_any_subgrid(sigma2, size):
-    grid = stats.default_grid()[:size]
+    grid = np.array(DEFAULT_GRID)[:size]
     fit = stats.fit_bridge_covariance(sigma2 * stats.bridge_kernel(grid), grid)
     assert fit.sigma2_hat == pytest.approx(sigma2, rel=1e-12)
     assert fit.rel_rms <= 1e-12
 
 
 def test_fit_degenerate_inputs_raise():
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     with pytest.raises(DegenerateFitError):
         stats.fit_bridge_covariance(np.zeros((9, 9)), grid)
     with pytest.raises(DegenerateFitError):
@@ -157,7 +156,7 @@ def test_fit_degenerate_inputs_raise():
 
 
 def test_synthetic_bridge_ensemble_fits_cleanly():
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     cov_true = np.array(brownian_bridge_covariance(grid.tolist(), 1.0))
     rng = np.random.default_rng(1)
     draws = rng.multivariate_normal(np.zeros(grid.size), cov_true, size=20000)
@@ -176,7 +175,7 @@ def test_ensemble_mean_path_is_centered(small_ensemble):
 
 
 def test_sigma2_stable_across_spans(law_l9):
-    grid = stats.default_grid()
+    grid = np.array(DEFAULT_GRID)
     fits = {}
     for n in (100, 200):
         table = sampler.dp_partition(law_l9, n)
@@ -334,35 +333,26 @@ def straight_walk(n: int) -> tuple[tuple[int, int], ...]:
 
 def test_shrinking_straight_walk_is_zero():
     walk = straight_walk(3)
-    skeleton = Skeleton(increments=counting.bridge_skeleton(walk), n=3)
-    assert stats.shrinking_statistic(walk, skeleton, 3) == pytest.approx(0.0, abs=1e-15)
+    assert stats.shrinking_statistic(walk, 3) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_shrinking_single_step_walk_is_zero():
     walk = ((0, 0), (1, 0))
-    skeleton = Skeleton(increments=counting.bridge_skeleton(walk), n=1)
-    assert stats.shrinking_statistic(walk, skeleton, 1) == pytest.approx(0.0, abs=1e-15)
+    assert stats.shrinking_statistic(walk, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_shrinking_tent_walk_exact_value():
     # scaled walk vertices sit 1/sqrt(6) away from the two tent segments
     walk = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0))
-    skeleton = Skeleton(increments=counting.bridge_skeleton(walk), n=2)
-    assert skeleton.increments == (FrameSplit(1, (1,)), FrameSplit(1, (-1,)))
-    value = stats.shrinking_statistic(walk, skeleton, 2)
+    assert counting.bridge_skeleton(walk) == (FrameSplit(1, (1,)), FrameSplit(1, (-1,)))
+    value = stats.shrinking_statistic(walk, 2)
     assert value == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
 
 
-def test_shrinking_rejects_foreign_skeleton():
-    walk = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0))
-    with pytest.raises(SkeletonMismatchError):
-        stats.shrinking_statistic(
-            walk, Skeleton(increments=(FrameSplit(2, (0,)),), n=2), 2
-        )
+def test_shrinking_rejects_off_axis_walk():
     off_axis = ((0, 0), (1, 0), (1, 1))
-    skeleton = Skeleton(increments=counting.bridge_skeleton(off_axis), n=1)
     with pytest.raises(ValueError):
-        stats.shrinking_statistic(off_axis, skeleton, 1)
+        stats.shrinking_statistic(off_axis, 1)
 
 
 def test_shrinking_shrinks_between_exhaustive_spans():
@@ -373,9 +363,6 @@ def test_shrinking_shrinks_between_exhaustive_spans():
         walks = sampler.ExhaustiveWalkSampler(2, n, 1.2, cutoff)
         weights = np.exp(-1.2 * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
-        values = []
-        for path in walks.paths:
-            skeleton = Skeleton(increments=counting.bridge_skeleton(path), n=n)
-            values.append(stats.shrinking_statistic(path, skeleton, n))
+        values = [stats.shrinking_statistic(path, n) for path in walks.paths]
         means[n] = float(weights @ np.array(values))
     assert means[6] < means[4]
