@@ -126,10 +126,7 @@ def cmd_enumerate(config: ExperimentConfig) -> None:
 
 
 def cmd_calibrate(config: ExperimentConfig) -> None:
-    path = cache_path(config, WalkClass.IRREDUCIBLE_BRIDGE)
-    if not path.exists():
-        raise ConfigError(f"missing count cache {path}; run enumerate first")
-    irr_table = counting.load_count_table(path)
+    irr_table = load_irreducible_table(config)
     m_hat = renewal.calibrate_mass(irr_table, config.beta)
     law = renewal.build_step_law(irr_table, config.beta, m_hat)
     payload = {
@@ -151,6 +148,25 @@ def require_provenance(path: Path, stamp: dict, expected: dict) -> None:
                 f"{path}: stamped {name} {stamp.get(name)!r} disagrees with "
                 f"the configured {value!r}"
             )
+
+
+def load_irreducible_table(config: ExperimentConfig) -> counting.CountTable:
+    """The irreducible count cache, refused when it is missing or when the
+    table it holds is of another d, cutoff or walk class."""
+    path = cache_path(config, WalkClass.IRREDUCIBLE_BRIDGE)
+    if not path.exists():
+        raise ConfigError(f"missing count cache {path}; run enumerate first")
+    table = counting.load_count_table(path)
+    require_provenance(
+        path,
+        {"d": table.d, "cutoff": table.cutoff, "walk_class": table.walk_class.value},
+        {
+            "d": config.d,
+            "cutoff": config.cutoff,
+            "walk_class": WalkClass.IRREDUCIBLE_BRIDGE.value,
+        },
+    )
+    return table
 
 
 def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
@@ -225,7 +241,7 @@ def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
 def exhaustive_shrinking(beta: float) -> list[dict]:
     rows = []
     for n, cutoff in SHRINK_SPANS:
-        walks = sampler.ExhaustiveWalkSampler(2, n, beta, cutoff)
+        walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
         weights = np.exp(-beta * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
         values = [stats.shrinking_statistic(path, n) for path in walks.paths]
@@ -252,15 +268,11 @@ def cmd_analyze(config: ExperimentConfig) -> None:
     digest = digests.pop()
     grid = np.array(config.grid)
     fit_span = max(config.spans)
-    ensemble = stats.build_ensemble(
-        ensembles[fit_span], grid, seed=config.seed, law_digest=digest
-    )
+    ensemble = stats.build_ensemble(ensembles[fit_span], grid)
     fit = stats.fit_bridge_covariance(stats.empirical_covariance(ensemble), grid)
     ks_rows = []
     for t in config.grid:
-        statistic, p = stats.ks_marginal(
-            ensemble, float(t), fit.sigma2_hat, lattice_resolution=1.0
-        )
+        statistic, p = stats.ks_marginal(ensemble, float(t), fit.sigma2_hat)
         ks_rows.append({"t": float(t), "stat": statistic, "p": p})
     gap_rows = [
         {"n": n, "fraction": stats.gap_statistic(ensembles[n], n)}
@@ -320,14 +332,7 @@ def cmd_oracle(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"oracle span must be at most {ORACLE_MAX_SPAN}, got {n}"
         )
-    cache = cache_path(config, WalkClass.IRREDUCIBLE_BRIDGE)
-    if cache.exists():
-        irr_table = counting.load_count_table(cache)
-    else:
-        irr_table = counting.enumerate_counts(
-            config.d, config.cutoff, WalkClass.IRREDUCIBLE_BRIDGE,
-            threads=config.threads,
-        )
+    irr_table = load_irreducible_table(config)
     exact = counting.exact_conditioned_skeleton_law(
         config.d, n, config.beta, config.cutoff
     )

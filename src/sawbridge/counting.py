@@ -71,7 +71,7 @@ SUPPORTED_DIMENSIONS = (2, 3, 4)
 # Safe overestimates of the per-step branching used for feasibility guards.
 _GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
 
-DEFAULT_NODE_BUDGET = 5e10
+NODE_BUDGET = 5e10
 DEFAULT_SPLIT_DEPTH = 6
 
 
@@ -82,7 +82,7 @@ class WalkClass(Enum):
 
 
 class BudgetExceededError(ValueError):
-    """Estimated search size exceeds the configured node budget."""
+    """Estimated search size exceeds the node budget."""
 
 
 class NoBridgesError(ValueError):
@@ -105,16 +105,6 @@ class CountTable:
     cutoff: int
     walk_class: WalkClass
     counts: dict[Site, np.ndarray]
-
-    def row(self, x: Site) -> np.ndarray:
-        """Count array over step numbers 0..cutoff for endpoint x."""
-        row = self.counts.get(tuple(x))
-        if row is None:
-            return np.zeros(self.cutoff + 1, dtype=np.int64)
-        return row
-
-    def count(self, x: Site, n: int) -> int:
-        return int(self.row(x)[n])
 
     def endpoints(self) -> list[Site]:
         return sorted(self.counts)
@@ -165,16 +155,15 @@ def _explore_all(
     d: int,
     cutoff: int,
     prefix: tuple[int, ...],
-    record_from: int,
     stop_depth: int | None,
     sink: list[tuple[int, ...]] | None,
 ) -> dict[int, list[int]]:
     """Count self-avoiding extensions of an encoded path prefix.
 
-    Nodes of depth >= record_from are tallied by endpoint and depth.  When
-    stop_depth is given, nodes at that depth are appended to sink (as full
-    code paths) instead of being recorded or expanded; this is the prefix
-    pass of the parallel split.
+    The prefix's last node and every node below it are tallied by
+    endpoint and depth.  When stop_depth is given, nodes at that depth are
+    appended to sink (as full code paths) instead of being recorded or
+    expanded; this is the prefix pass of the parallel split.
     """
     offsets = _axis_offsets(d, cutoff)
     visited = set(prefix)
@@ -187,11 +176,10 @@ def _explore_all(
         if depth == stop:
             sink.append(tuple(stack))
             return
-        if depth >= record_from:
-            row = counts.get(pos)
-            if row is None:
-                row = counts[pos] = [0] * width
-            row[depth] += 1
+        row = counts.get(pos)
+        if row is None:
+            row = counts[pos] = [0] * width
+        row[depth] += 1
         if depth == cutoff:
             return
         nd = depth + 1
@@ -213,11 +201,10 @@ def _explore_halfspace(
     d: int,
     cutoff: int,
     prefix: tuple[int, ...],
-    record_from: int,
     stop_depth: int | None,
     sink: list[tuple[int, ...]] | None,
 ) -> dict[int, list[int]]:
-    """Count bridges below an encoded path prefix.
+    """Count bridges at and below an encoded path prefix.
 
     The search tree is the half-space tree: every site after the origin
     has first coordinate >= 1.  A node is recorded iff its endpoint level
@@ -237,7 +224,7 @@ def _explore_halfspace(
         if depth == stop:
             sink.append(tuple(stack))
             return
-        if depth >= record_from and x0 == top:
+        if x0 == top:
             row = counts.get(pos)
             if row is None:
                 row = counts[pos] = [0] * width
@@ -266,7 +253,7 @@ _SEARCHES = {WalkClass.ALL: _explore_all, WalkClass.BRIDGE: _explore_halfspace}
 def _subtree_counts(task: tuple[int, int, str, tuple[int, ...]]) -> dict[int, list[int]]:
     d, cutoff, class_value, prefix = task
     search = _SEARCHES[WalkClass(class_value)]
-    return search(d, cutoff, prefix, len(prefix) - 1, None, None)
+    return search(d, cutoff, prefix, None, None)
 
 
 def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None:
@@ -347,7 +334,6 @@ def enumerate_counts(
     *,
     threads: int = 1,
     split_depth: int = DEFAULT_SPLIT_DEPTH,
-    node_budget: float = DEFAULT_NODE_BUDGET,
 ) -> CountTable:
     """Exhaustively count walks of one class up to `cutoff` steps.
 
@@ -361,18 +347,17 @@ def enumerate_counts(
     """
     if walk_class is WalkClass.IRREDUCIBLE_BRIDGE:
         bridge = enumerate_counts(
-            d, cutoff, WalkClass.BRIDGE,
-            threads=threads, split_depth=split_depth, node_budget=node_budget,
+            d, cutoff, WalkClass.BRIDGE, threads=threads, split_depth=split_depth
         )
         return irreducible_counts(bridge)
     check_dimension(d)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     estimate = estimate_nodes(d, cutoff)
-    if estimate > node_budget:
+    if estimate > NODE_BUDGET:
         raise BudgetExceededError(
             f"estimated {estimate:.2e} walk-tree nodes (the full tree, not the "
-            f"symmetry-reduced search) exceeds budget {node_budget:.2e}"
+            f"symmetry-reduced search) exceeds budget {NODE_BUDGET:.2e}"
         )
 
     step_e1, _, step_e2 = _axis_offsets(d, cutoff)[:3]
@@ -390,7 +375,7 @@ def enumerate_counts(
         if split and len(root) - 1 > split_depth:
             prefixes.append(root)
             continue
-        part = _SEARCHES[walk_class](d, cutoff, root, len(root) - 1, stop, prefixes)
+        part = _SEARCHES[walk_class](d, cutoff, root, stop, prefixes)
         _merge_counts(canonical, part)
     if prefixes:
         tasks = [(d, cutoff, walk_class.value, p) for p in prefixes]

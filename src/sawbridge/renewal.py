@@ -99,7 +99,7 @@ def tilted_mass(weights: dict[FrameSplit, float], m: float) -> float:
     return math.fsum(v * math.exp(-m * s.t) for s, v in weights.items())
 
 
-def calibrate_mass(irr_table: CountTable, beta: float, tol: float = PHI_TOL) -> float:
+def calibrate_mass(irr_table: CountTable, beta: float) -> float:
     """Root of the tilted-mass equation: the unique m with sum = 1.
 
     Bracketed bisection: the initial lower end -beta - log(2d) already has
@@ -120,7 +120,7 @@ def calibrate_mass(irr_table: CountTable, beta: float, tol: float = PHI_TOL) -> 
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         val = tilted_mass(weights, mid)
-        if abs(val - 1.0) <= tol:
+        if abs(val - 1.0) <= PHI_TOL:
             return mid
         if val > 1.0:
             lo = mid

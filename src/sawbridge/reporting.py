@@ -9,10 +9,11 @@ Every artifact embeds the resolved configuration and a content hash:
   everything after the hash line.
 
 Identical inputs therefore produce byte-identical files, which makes
-reruns diffable in CI, and any tampering is detectable.  Floats are
-written with repr, the shortest digits that round-trip.  Every file is
-written atomically (see write_atomic), so an interrupted run leaves the
-previous file or the new one under the final name, never a part of one.
+reruns diffable in CI, and any tampering is detectable.  CSV cells are
+written with str, which for floats is repr, the shortest digits that
+round-trip.  Every file is written atomically (see write_atomic), so an
+interrupted run leaves the previous file or the new one under the final
+name, never a part of one.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ def canonical_json(payload: dict) -> str:
 
 def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -95,8 +88,7 @@ def write_csv_report(
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+    writer.writerows(rows)
     table = buffer.getvalue()
     config_line = json.dumps(config, sort_keys=True, ensure_ascii=False)
     text = (

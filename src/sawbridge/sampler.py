@@ -40,6 +40,8 @@ from .renewal import StepLaw
 from .rng import uniform_block
 
 MAX_LEAKAGE = 1e-6
+# replicates per backward-sampling batch, and per pool task when threaded
+BATCH_SIZE = 4096
 
 
 class BoxTooSmallError(ValueError):
@@ -267,10 +269,10 @@ def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTa
     )
 
 
-def require_leakage(partition: PartitionTable, bound: float = MAX_LEAKAGE) -> None:
-    if partition.leakage >= bound:
+def require_leakage(partition: PartitionTable) -> None:
+    if partition.leakage >= MAX_LEAKAGE:
         raise LeakageError(
-            f"box truncation leaks {partition.leakage:.3e} >= {bound:.1e}; "
+            f"box truncation leaks {partition.leakage:.3e} >= {MAX_LEAKAGE:.1e}; "
             "increase the radius"
         )
 
@@ -353,19 +355,19 @@ def sample_skeletons(
     replicates: range | list[int],
     *,
     threads: int = 1,
-    batch_size: int = 4096,
 ) -> SkeletonBatch:
     """Draw one pinned skeleton per replicate id, in replicate order.
 
-    Per-replicate streams make the output independent of batch size and
-    thread count.
+    Replicates run in batches of BATCH_SIZE, one pool task each when
+    threads > 1; per-replicate streams make the output independent of
+    how the replicates are split and of the thread count.
     """
     if partition.value(partition.n, (0,) * (partition.d - 1)) <= 0.0:
         raise UnreachableStateError(
             f"pinned mass at ({partition.n}, 0̃) is zero; box or law misconfigured"
         )
     batches = [
-        replicates[i : i + batch_size] for i in range(0, len(replicates), batch_size)
+        replicates[i : i + BATCH_SIZE] for i in range(0, len(replicates), BATCH_SIZE)
     ]
     if threads <= 1 or len(batches) <= 1:
         parts = [_sample_batch(law, partition, seed, batch) for batch in batches]
@@ -416,20 +418,18 @@ def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
 class ExhaustiveWalkSampler:
     """Every bridge to (n, 0̃) within the step cutoff, by total enumeration.
 
-    The full-walk law weights each path in `paths` by e^{-beta * steps}.
-    Practical only where the bridge count is modest (n up to about 7 in
-    the plane).
+    The full-walk law at inverse temperature beta weights each path in
+    `paths` by e^{-beta * steps}; callers apply those weights.  Practical
+    only where the bridge count is modest (n up to about 7 in the plane).
     """
 
     _SPAN_CAP = {2: 7, 3: 5, 4: 4}
 
-    def __init__(self, d: int, n: int, beta: float, cutoff: int):
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+    def __init__(self, d: int, n: int, cutoff: int):
         cap = self._SPAN_CAP.get(d)
         if cap is None or n > cap:
             raise ValueError(f"exhaustive sampling supports n <= {cap} at d={d}")
-        self.d, self.n, self.beta, self.cutoff = d, n, beta, cutoff
+        self.d, self.n, self.cutoff = d, n, cutoff
         self.paths = list(iter_bridges_to_axis_point(d, n, cutoff))
         if not self.paths:
             raise NoBridgesError(

@@ -8,7 +8,8 @@ quantifies that claim on finite ensembles four ways:
   fitted against the bridge kernel sigma^2 * s * (1 - t), yielding a
   variance estimate and a relative misfit;
 * a fixed-time marginal is tested for Gaussianity by a one-sample
-  Kolmogorov-Smirnov statistic with the asymptotic p-value series;
+  Kolmogorov-Smirnov statistic, taken at lattice cell boundaries, with
+  the asymptotic p-value series;
 * the largest single renewal increment is compared against the n^(1/3)
   scale, whose exceedance fraction should vanish as the span grows;
 * a full walk is compared against its own skeleton interpolation in the
@@ -43,15 +44,12 @@ class Ensemble:
     """Scaled-process values of one sampling campaign on a fixed grid.
 
     values[r, g, j] is transverse coordinate j of replicate r evaluated
-    at grid time g.  seed and law_digest record where the draws came
-    from, so downstream reports stay attributable.
+    at grid time g.
     """
 
     n: int
     grid: np.ndarray
     values: np.ndarray
-    seed: int
-    law_digest: str
 
     @property
     def replicates(self) -> int:
@@ -76,13 +74,7 @@ def require_grid(grid: np.ndarray) -> None:
         raise ValueError("grid times must be strictly increasing")
 
 
-def build_ensemble(
-    batch: SkeletonBatch,
-    grid: np.ndarray,
-    *,
-    seed: int,
-    law_digest: str = "",
-) -> Ensemble:
+def build_ensemble(batch: SkeletonBatch, grid: np.ndarray) -> Ensemble:
     """Scale every skeleton and evaluate it on the grid."""
     if not len(batch):
         raise ValueError("ensemble needs at least one skeleton")
@@ -92,8 +84,6 @@ def build_ensemble(
         n=batch.n,
         grid=grid,
         values=evaluate_process_grid(batch, grid),
-        seed=seed,
-        law_digest=law_digest,
     )
 
 
@@ -164,13 +154,7 @@ def _normal_cdf(values: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(values / math.sqrt(2.0)))
 
 
-def ks_marginal(
-    ensemble: Ensemble,
-    t: float,
-    sigma2_hat: float,
-    *,
-    lattice_resolution: float | None = None,
-) -> tuple[float, float]:
+def ks_marginal(ensemble: Ensemble, t: float, sigma2_hat: float) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov check of a fixed-time marginal.
 
     The first transverse coordinate of Y(t), standardized by the fitted
@@ -179,13 +163,11 @@ def ks_marginal(
 
     Marginals of a lattice walk are supported on a grid of spacing
     1/sqrt(n), so their empirical CDF climbs in steps that no continuous
-    law can follow: against a continuous reference the plain statistic
-    has a deterministic floor of about half an atom's mass, however
-    well the walk converges in distribution.  Passing the transverse
-    lattice spacing (1.0 for the unit lattice) as lattice_resolution
-    compares the CDFs at lattice cell boundaries instead, where the
-    discretized and continuous references agree; with the resolution
-    omitted the statistic is the classic sup over the sample.
+    law can follow: against a continuous reference the classic sup over
+    the sample has a deterministic floor of about half an atom's mass,
+    however well the walk converges in distribution.  The CDFs are
+    therefore compared at the boundaries of the unit lattice's cells,
+    where the discretized and continuous references agree.
     """
     if sigma2_hat <= 0.0:
         raise ValueError(f"variance must be positive, got {sigma2_hat}")
@@ -202,18 +184,9 @@ def ks_marginal(
     scale = math.sqrt(sigma2_hat * t * (1.0 - t))
     sample = np.sort(ensemble.values[:, matches[0], 0] / scale)
     reps = sample.size
-    if lattice_resolution is None:
-        cdf = _normal_cdf(sample)
-        steps = np.arange(1, reps + 1) / reps
-        statistic = float(
-            np.maximum(steps - cdf, cdf - (steps - 1.0 / reps)).max()
-        )
-        return statistic, kolmogorov_pvalue(statistic, reps)
-    if lattice_resolution <= 0.0:
-        raise ValueError("lattice resolution must be positive")
     if ensemble.n < 1:
         raise ValueError("lattice-aware comparison needs the ensemble span")
-    spacing = lattice_resolution / (math.sqrt(ensemble.n) * scale)
+    spacing = 1.0 / (math.sqrt(ensemble.n) * scale)
     low = math.floor(sample[0] / spacing) - 1
     high = math.ceil(sample[-1] / spacing) + 1
     boundaries = (np.arange(low, high + 1) + 0.5) * spacing

@@ -174,6 +174,21 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
+def classic_ks_statistic(sample: Sequence[float]) -> float:
+    """Classic one-sample Kolmogorov-Smirnov distance to the standard normal.
+
+    The sup over the line of |empirical CDF - normal CDF|, read off on
+    both sides of every jump of the empirical CDF.
+    """
+    ordered = sorted(float(x) for x in sample)
+    size = len(ordered)
+    worst = 0.0
+    for i, x in enumerate(ordered):
+        cdf = normal_cdf(x)
+        worst = max(worst, (i + 1) / size - cdf, cdf - i / size)
+    return worst
+
+
 def brownian_bridge_covariance(times: Sequence[float], sigma2: float) -> list[list[float]]:
     """Covariance matrix sigma^2 * min(s,t) * (1 - max(s,t)) on a time grid."""
     return [

@@ -75,7 +75,6 @@ class Campaign:
 def campaign(step_law_l13) -> Campaign:
     law = step_law_l13
     grid = np.array(DEFAULT_GRID)
-    digest = renewal.step_law_digest(law)
     out = Campaign()
     for n in sorted(set(GAP_SPANS) | set(FIT_SPANS)):
         started = time.perf_counter()
@@ -88,9 +87,7 @@ def campaign(step_law_l13) -> Campaign:
         if n in GAP_SPANS:
             out.gap_fractions[n] = stats.gap_statistic(skeletons, n)
         if n in FIT_SPANS:
-            out.ensembles[n] = stats.build_ensemble(
-                skeletons, grid, seed=SEED, law_digest=digest
-            )
+            out.ensembles[n] = stats.build_ensemble(skeletons, grid)
         out.elapsed[n] = time.perf_counter() - started
     return out
 
@@ -247,9 +244,7 @@ def test_criterion_08_gaussian_marginal(campaign, capsys):
     fit = stats.fit_bridge_covariance(
         stats.empirical_covariance(campaign.ensembles[400]), grid
     )
-    statistic, p = stats.ks_marginal(
-        campaign.ensembles[400], 0.5, fit.sigma2_hat, lattice_resolution=1.0
-    )
+    statistic, p = stats.ks_marginal(campaign.ensembles[400], 0.5, fit.sigma2_hat)
     ok = p > 0.01
     emit(
         capsys, 8, ok,

@@ -10,7 +10,6 @@ from sawbridge.reporting import (
     ReportFormatError,
     canonical_json,
     content_digest,
-    format_cell,
     read_csv_report,
     read_json_report,
     write_csv_report,
@@ -34,16 +33,6 @@ def test_content_digest_is_stable_hex():
     assert digest == content_digest("payload")
     assert len(digest) == 64
     assert digest != content_digest("payload2")
-
-
-def test_format_cell():
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
-    assert format_cell(5) == "5"
-    assert format_cell("label") == "label"
-    assert format_cell(0.1) == "0.1"
-    assert float(format_cell(1.0 / 3.0)) == 1.0 / 3.0
-    assert format_cell(np.float64(0.25)) == "0.25"
 
 
 def test_json_report_roundtrip(tmp_path):
@@ -76,14 +65,28 @@ def test_json_report_detects_tampering(tmp_path):
 
 def test_csv_report_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [[0, 0.5, "a"], [1, 1.0 / 3.0, "b"]]
+    rows = [
+        [0, 0.5, "a"],
+        [1, 1.0 / 3.0, "b"],
+        [5, 0.1, "label"],
+        [2, np.float64(0.25), "c"],
+    ]
     write_csv_report(path, ["i", "x", "tag"], rows, {"seed": 1})
+    # cells are written with str: repr's shortest round-trip digits for floats
+    assert path.read_bytes().split(b"\n")[2:] == [
+        b"i,x,tag",
+        b"0,0.5,a",
+        b"1,0.3333333333333333,b",
+        b"5,0.1,label",
+        b"2,0.25,c",
+        b"",
+    ]
     config, header, loaded = read_csv_report(path)
     assert config == {"seed": 1}
     assert header == ["i", "x", "tag"]
-    assert [int(r[0]) for r in loaded] == [0, 1]
-    assert [float(r[1]) for r in loaded] == [0.5, 1.0 / 3.0]
-    assert [r[2] for r in loaded] == ["a", "b"]
+    assert [int(r[0]) for r in loaded] == [0, 1, 5, 2]
+    assert [float(r[1]) for r in loaded] == [0.5, 1.0 / 3.0, 0.1, 0.25]
+    assert [r[2] for r in loaded] == ["a", "b", "label", "c"]
 
 
 def test_csv_report_uses_lf_only(tmp_path):

@@ -302,19 +302,22 @@ def test_seed_and_replicate_determine_the_draw(law_l9):
 
 
 def test_sampling_invariant_under_batching_and_threads(law_l9):
+    # 4100 replicates are two batches, so threads = 2 runs on the pool
     table = sampler.dp_partition(law_l9, 10)
-    reps = range(300)
+    reps = range(4100)
+    assert len(reps) > sampler.BATCH_SIZE
     plain = sampler.sample_skeletons(law_l9, table, seed=11, replicates=reps)
-    small_batches = sampler.sample_skeletons(
-        law_l9, table, seed=11, replicates=reps, batch_size=17
-    )
     threaded = sampler.sample_skeletons(
-        law_l9, table, seed=11, replicates=reps, threads=2, batch_size=64
+        law_l9, table, seed=11, replicates=reps, threads=2
     )
-    singles = [
-        sampler.sample_skeletons(law_l9, table, seed=11, replicates=[r])[0] for r in reps
+    halves = [
+        sampler.sample_skeletons(law_l9, table, seed=11, replicates=part)
+        for part in (range(0, 2000), range(2000, 4100))
     ]
-    assert list(plain) == list(small_batches) == list(threaded) == singles
+    assert list(plain) == list(threaded) == list(halves[0]) + list(halves[1])
+    for r in (0, 1, 4094, 4095, 4096, 4097, 4099):
+        single = sampler.sample_skeletons(law_l9, table, seed=11, replicates=[r])
+        assert single[0] == plain[r]
 
 
 def test_batch_layout_and_tally_match_its_skeletons(law_l9):
@@ -473,12 +476,12 @@ def test_skeleton_validation_errors():
 
 
 def test_exhaustive_single_walk_point_mass():
-    walks = sampler.ExhaustiveWalkSampler(2, 1, 1.2, 1)
+    walks = sampler.ExhaustiveWalkSampler(2, 1, 1)
     assert walks.paths == [((0, 0), (1, 0))]
 
 
 def test_exhaustive_walks_are_bridges_to_the_pin():
-    walks = sampler.ExhaustiveWalkSampler(2, 4, 1.2, 8)
+    walks = sampler.ExhaustiveWalkSampler(2, 4, 8)
     assert walks.paths
     for walk in walks.paths:
         assert naive_is_bridge(walk)
@@ -486,14 +489,14 @@ def test_exhaustive_walks_are_bridges_to_the_pin():
 
 
 def test_exhaustive_draw_is_deterministic_across_builds():
-    one = sampler.ExhaustiveWalkSampler(2, 3, 1.2, 7).paths
-    two = sampler.ExhaustiveWalkSampler(2, 3, 1.2, 7).paths
+    one = sampler.ExhaustiveWalkSampler(2, 3, 7).paths
+    two = sampler.ExhaustiveWalkSampler(2, 3, 7).paths
     assert one == two
     assert all(walk[-1] == (3, 0) for walk in one)
 
 
 def test_exhaustive_span_cap_and_empty_support_errors():
     with pytest.raises(ValueError):
-        sampler.ExhaustiveWalkSampler(2, 8, 1.2, 20)
+        sampler.ExhaustiveWalkSampler(2, 8, 20)
     with pytest.raises(NoBridgesError):
-        sampler.ExhaustiveWalkSampler(2, 3, 1.2, 2)
+        sampler.ExhaustiveWalkSampler(2, 3, 2)

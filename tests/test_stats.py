@@ -17,20 +17,17 @@ from sawbridge.stats import DegenerateFitError
 from oracles import (
     batch_of,
     brownian_bridge_covariance,
+    classic_ks_statistic,
     exact_gap_fraction,
     longer_than_cube_root,
     renewal_conditioned_law,
 )
 
 
-def synthetic_ensemble(
-    values: np.ndarray, grid: np.ndarray, n: int = 0, seed: int = 0
-) -> stats.Ensemble:
+def synthetic_ensemble(values: np.ndarray, grid: np.ndarray, n: int = 0) -> stats.Ensemble:
     if values.ndim == 1:
         values = values[:, None]
-    return stats.Ensemble(
-        n=n, grid=grid, values=values[:, :, None], seed=seed, law_digest="synthetic"
-    )
+    return stats.Ensemble(n=n, grid=grid, values=values[:, :, None])
 
 
 def empty_batch() -> SkeletonBatch:
@@ -50,9 +47,7 @@ def law_l9() -> renewal.StepLaw:
 def small_ensemble(law_l9) -> stats.Ensemble:
     table = sampler.dp_partition(law_l9, 16)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=12, replicates=range(3000))
-    return stats.build_ensemble(
-        skeletons, np.array(DEFAULT_GRID), seed=12, law_digest="cutoff-9 law"
-    )
+    return stats.build_ensemble(skeletons, np.array(DEFAULT_GRID))
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +71,23 @@ def test_grid_validation_errors():
         stats.require_grid(np.array([0.5, 0.3]))
 
 
-def test_build_ensemble_shape_and_provenance(law_l9):
+def test_build_ensemble_shape(law_l9):
     table = sampler.dp_partition(law_l9, 8)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=1, replicates=range(40))
     grid = np.array(DEFAULT_GRID)
-    ensemble = stats.build_ensemble(skeletons, grid, seed=1, law_digest="tag")
+    ensemble = stats.build_ensemble(skeletons, grid)
     assert ensemble.values.shape == (40, 9, 1)
     assert ensemble.replicates == 40
     assert ensemble.n == 8
-    assert ensemble.seed == 1 and ensemble.law_digest == "tag"
 
 
 def test_build_ensemble_rejects_bad_input(law_l9):
     grid = np.array(DEFAULT_GRID)
     with pytest.raises(ValueError):
-        stats.build_ensemble(empty_batch(), grid, seed=0)
+        stats.build_ensemble(empty_batch(), grid)
     one = batch_of(Skeleton(increments=(FrameSplit(2, (0,)),), n=2))
     with pytest.raises(ValueError):
-        stats.build_ensemble(one, np.array([0.0, 0.5]), seed=0)
+        stats.build_ensemble(one, np.array([0.0, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def test_sigma2_stable_across_spans(law_l9):
         skeletons = sampler.sample_skeletons(
             law_l9, table, seed=9, replicates=range(6000), threads=2
         )
-        ensemble = stats.build_ensemble(skeletons, grid, seed=9, law_digest="l9")
+        ensemble = stats.build_ensemble(skeletons, grid)
         fits[n] = stats.fit_bridge_covariance(
             stats.empirical_covariance(ensemble), grid
         )
@@ -195,22 +189,19 @@ def test_sigma2_stable_across_spans(law_l9):
 
 
 def test_ks_on_standard_normal_sample_is_uniformish():
-    grid = np.array([0.5])
-    scale = 0.5  # sqrt(1.0 * 0.5 * 0.5)
     pvalues = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        sample = rng.standard_normal(10000) * scale
-        ens = synthetic_ensemble(sample[:, None], grid, seed=seed)
-        pvalues.append(stats.ks_marginal(ens, 0.5, 1.0)[1])
+        statistic = classic_ks_statistic(rng.standard_normal(10000))
+        pvalues.append(stats.kolmogorov_pvalue(statistic, 10000))
     pvalues.sort()
     assert 0.35 <= pvalues[50] <= 0.65
     assert pvalues[0] < 0.2 and pvalues[-1] > 0.8
 
 
 def test_ks_constant_zero_sample_is_rejected():
-    ens = synthetic_ensemble(np.zeros((500, 1)), np.array([0.5]))
-    statistic, p = stats.ks_marginal(ens, 0.5, 1.0)
+    statistic = classic_ks_statistic(np.zeros(500))
+    p = stats.kolmogorov_pvalue(statistic, 500)
     assert statistic == pytest.approx(0.5, abs=1e-12)
     assert p <= 1e-12
 
@@ -224,11 +215,12 @@ def test_ks_lattice_mode_removes_the_discreteness_floor():
     scale = math.sqrt(0.25)
     rounded = np.round(rng.standard_normal(reps) * scale * math.sqrt(n)) / math.sqrt(n)
     ens = synthetic_ensemble(rounded[:, None], np.array([0.5]), n=n)
-    stat_classic, p_classic = stats.ks_marginal(ens, 0.5, 1.0)
+    stat_classic = classic_ks_statistic(rounded / scale)
+    p_classic = stats.kolmogorov_pvalue(stat_classic, reps)
     atom = 1.0 / (math.sqrt(n) * scale)
     assert stat_classic >= 0.35 * atom / math.sqrt(2.0 * math.pi)
     assert p_classic <= 1e-6
-    stat_lattice, p_lattice = stats.ks_marginal(ens, 0.5, 1.0, lattice_resolution=1.0)
+    stat_lattice, p_lattice = stats.ks_marginal(ens, 0.5, 1.0)
     assert stat_lattice <= 0.5 * stat_classic
     assert p_lattice >= 0.05
 
@@ -238,14 +230,12 @@ def test_ks_validation_errors(small_ensemble):
         stats.ks_marginal(small_ensemble, 0.5, 0.0)
     with pytest.raises(ValueError):
         stats.ks_marginal(small_ensemble, 0.55, 1.0)
-    with pytest.raises(ValueError):
-        stats.ks_marginal(small_ensemble, 0.5, 1.0, lattice_resolution=-1.0)
     tiny = synthetic_ensemble(np.zeros((10, 1)), np.array([0.5]))
     with pytest.raises(ValueError):
         stats.ks_marginal(tiny, 0.5, 1.0)
     synthetic = synthetic_ensemble(np.zeros((500, 1)), np.array([0.5]), n=0)
     with pytest.raises(ValueError):
-        stats.ks_marginal(synthetic, 0.5, 1.0, lattice_resolution=1.0)
+        stats.ks_marginal(synthetic, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,7 @@ def test_shrinking_shrinks_between_exhaustive_spans():
     # the scaled walk hugs its skeleton more tightly at the larger span
     means = {}
     for n, cutoff in ((4, 10), (6, 12)):
-        walks = sampler.ExhaustiveWalkSampler(2, n, 1.2, cutoff)
+        walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
         weights = np.exp(-1.2 * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
         values = [stats.shrinking_statistic(path, n) for path in walks.paths]

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 from sawbridge import counting, renewal, sampler
@@ -38,3 +40,25 @@ def test_unique_states_reads_a_sampled_batch():
     steps = sum(len(skeleton.increments) for skeleton in batch)
     assert steps == len(batch.steps)
     assert 0 < tracer.unique_states(batch) <= steps
+
+
+def test_traced_arguments_are_parameters_of_the_wrapped_callables():
+    # a tag or counter reads the call's arguments by name, as bound["name"]
+    tracer = load_tracer()
+    read = {}
+    for module_name, attr, tag, count in tracer.PATCHES:
+        for hook in (tag, count):
+            if hook is None:
+                continue
+            names = re.findall(r'bound\["(\w+)"\]', inspect.getsource(hook))
+            read.setdefault(f"{module_name}.{attr}", set()).update(names)
+            module = importlib.import_module(module_name)
+            parameters = inspect.signature(getattr(module, attr)).parameters
+            for name in names:
+                assert name in parameters, f"{module_name}.{attr} has no {name!r}"
+    assert {key: names for key, names in read.items() if names} == {
+        "sawbridge.counting.enumerate_counts": {"walk_class"},
+        "sawbridge.counting.save_count_table": {"path"},
+        "sawbridge.sampler.dp_partition": {"law"},
+        "sawbridge.cli.write_csv_report": {"path"},
+    }
