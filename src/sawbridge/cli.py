@@ -39,7 +39,8 @@ from .config import (
 from .counting import WalkClass
 from .lattice import FrameSplit
 from .reporting import (
-    read_csv_report,
+    read_csv_report,  # noqa: F401 -- traced by perfbench at this name
+    read_int_csv_report,
     read_json_report,
     write_csv_report,
     write_json_report,
@@ -200,7 +201,7 @@ def cmd_sample(config: ExperimentConfig) -> None:
         write_csv_report(
             skeleton_path(config, n),
             ["replicate", "k", "step_index", "t", *y_names],
-            np.hstack((batch.layout(), batch.steps)).tolist(),
+            np.hstack((batch.layout(), batch.steps)),
             stamp,
         )
         values = sampler.evaluate_process_grid(batch, np.array(config.grid))
@@ -222,8 +223,7 @@ def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
     replicates 0, 1, ... in order, each with its k steps in step order."""
     if not path.exists():
         raise ConfigError(f"missing ensemble {path}; run sample first")
-    stamp, header, rows = read_csv_report(path)
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(header))
+    stamp, header, table = read_int_csv_report(path)
     starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
     batch = sampler.SkeletonBatch(
         n=int(stamp["n"]), steps=table[:, 3:], offsets=np.append(starts, len(table))
@@ -244,13 +244,9 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
         walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
         weights = np.exp(-beta * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
-        values = [stats.shrinking_statistic(path, n) for path in walks.paths]
+        values = stats.shrinking_statistic(walks.paths, n)
         rows.append(
-            {
-                "n": n,
-                "mean": float(weights @ np.array(values)),
-                "max": float(max(values)),
-            }
+            {"n": n, "mean": float(weights @ values), "max": float(values.max())}
         )
     return rows
 

@@ -11,9 +11,11 @@ Every artifact embeds the resolved configuration and a content hash:
 Identical inputs therefore produce byte-identical files, which makes
 reruns diffable in CI, and any tampering is detectable.  CSV cells are
 written with str, which for floats is repr, the shortest digits that
-round-trip.  Every file is written atomically (see write_atomic), so an
-interrupted run leaves the previous file or the new one under the final
-name, never a part of one.
+round-trip; an integer table given as a 2-D ndarray is formatted with %d,
+which gives the same bytes as str, and read_int_csv_report parses such a
+table straight into an int64 array.  Every file is written atomically
+(see write_atomic), so an interrupted run leaves the previous file or the
+new one under the final name, never a part of one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import json
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class ReportFormatError(ValueError):
@@ -82,13 +86,23 @@ def read_json_report(path: str | Path) -> dict:
 def write_csv_report(
     path: str | Path,
     header: Sequence[str],
-    rows: Iterable[Sequence],
+    rows: Iterable[Sequence] | np.ndarray,
     config: dict,
 ) -> None:
+    """Write a hash-stamped CSV table.
+
+    rows is either a sequence of rows, whose cells csv writes with str,
+    or a 2-D integer ndarray, whose body is formatted in one % operation.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
-    writer.writerows(rows)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        count, width = rows.shape
+        line = "%d," * (width - 1) + "%d\n"
+        buffer.write((line * count) % tuple(rows.ravel().tolist()))
+    else:
+        writer.writerows(rows)
     table = buffer.getvalue()
     config_line = json.dumps(config, sort_keys=True, ensure_ascii=False)
     text = (
@@ -99,20 +113,47 @@ def write_csv_report(
     write_atomic(path, text.encode("utf-8"))
 
 
-def read_csv_report(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if len(lines) < 3 or not lines[0].startswith("# config: "):
+def _checked_table(path: str | Path) -> tuple[dict, bytes]:
+    """The config of a CSV report and its table bytes, once the table
+    matches the stamped sha256."""
+    parts = Path(path).read_bytes().split(b"\n", 2)
+    if len(parts) < 3 or not parts[0].startswith(b"# config: "):
         raise ReportFormatError(f"{path}: missing config line")
-    if not lines[1].startswith("# sha256: "):
+    if not parts[1].startswith(b"# sha256: "):
         raise ReportFormatError(f"{path}: missing hash line")
-    config = json.loads(lines[0][len("# config: "):])
-    stated = lines[1][len("# sha256: "):]
-    table = "\n".join(lines[2:])
-    if content_digest(table) != stated:
+    config_line, hash_line, table = parts
+    config = json.loads(config_line[len(b"# config: "):].decode("utf-8"))
+    stated = hash_line[len(b"# sha256: "):].decode("utf-8")
+    if hashlib.sha256(table).hexdigest() != stated:
         raise ReportFormatError(f"{path}: sha256 mismatch")
-    reader = csv.reader(io.StringIO(table))
+    return config, table
+
+
+def read_csv_report(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:
+    config, table = _checked_table(path)
+    reader = csv.reader(io.StringIO(table.decode("utf-8")))
     parsed = [row for row in reader if row]
     if not parsed:
         raise ReportFormatError(f"{path}: empty table")
     return config, parsed[0], parsed[1:]
+
+
+def read_int_csv_report(path: str | Path) -> tuple[dict, list[str], np.ndarray]:
+    """The config, header and int64 body of a CSV report whose every row
+    holds one decimal integer per header column."""
+    config, table = _checked_table(path)
+    head, _, body = table.partition(b"\n")
+    header = next(csv.reader([head.decode("utf-8")]))
+    if not header or not body.strip():
+        raise ReportFormatError(f"{path}: no header or no rows")
+    try:
+        values = np.loadtxt(
+            io.BytesIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2
+        )
+    except ValueError as err:
+        raise ReportFormatError(f"{path}: {err}") from err
+    if values.shape[1] != len(header):
+        raise ReportFormatError(
+            f"{path}: rows have {values.shape[1]} cells, header has {len(header)}"
+        )
+    return config, header, values

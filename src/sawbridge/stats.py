@@ -216,37 +216,43 @@ def gap_statistic(batch: SkeletonBatch, n: int) -> float:
 
 
 def _distance_to_polyline(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to a piecewise-linear curve."""
-    if knots.shape[0] == 1:
-        return np.linalg.norm(points - knots[0], axis=1)
-    starts = knots[:-1]
-    spans = knots[1:] - starts
-    lengths2 = np.einsum("sd,sd->s", spans, spans)
+    """Euclidean distance from each point to a piecewise-linear curve, for
+    a stack of curves: points (w, p, d) and knots (w, s + 1, d) give (w, p)."""
+    starts = knots[:, :-1]
+    spans = knots[:, 1:] - starts
+    lengths2 = np.einsum("wsd,wsd->ws", spans, spans)
     lengths2[lengths2 == 0.0] = 1.0
-    offsets = points[:, None, :] - starts[None, :, :]
+    offsets = points[:, :, None, :] - starts[:, None, :, :]
     position = np.clip(
-        np.einsum("psd,sd->ps", offsets, spans) / lengths2, 0.0, 1.0
+        np.einsum("wpsd,wsd->wps", offsets, spans) / lengths2[:, None, :], 0.0, 1.0
     )
-    nearest = starts[None, :, :] + position[:, :, None] * spans[None, :, :]
-    return np.linalg.norm(points[:, None, :] - nearest, axis=2).min(axis=1)
+    nearest = starts[:, None, :, :] + position[..., None] * spans[:, None, :, :]
+    return np.linalg.norm(points[:, :, None, :] - nearest, axis=3).min(axis=2)
 
 
-def shrinking_statistic(walk: Sequence[Site], n: int) -> float:
-    """Largest scaled distance from a walk vertex to its skeleton curve.
+def shrinking_statistic(walks: Sequence[Sequence[Site]], n: int) -> np.ndarray:
+    """Largest scaled distance from each walk's vertices to its skeleton curve.
 
     The skeleton is the walk's own regeneration skeleton.  The walk and
     the skeleton interpolation are both mapped to scaled coordinates
     (first component over n, transverse components over sqrt(n)); the
     statistic is the sup over walk vertices of the Euclidean distance to
-    the piecewise-linear skeleton graph.
+    the piecewise-linear skeleton graph.  Walks with equal site and
+    increment counts are measured together as one array.
     """
-    if walk[-1][0] != n or any(c != 0 for c in walk[-1][1:]):
-        raise ValueError(f"walk must end on the axis at ({n}, 0)")
-    scale = np.array([n] + [math.sqrt(n)] * (len(walk[0]) - 1), dtype=np.float64)
-    points = np.asarray(walk, dtype=np.float64) / scale
-    increments = np.array(
-        [(s.t, *s.y) for s in bridge_skeleton(walk)], dtype=np.float64
-    )
-    knots = np.vstack((np.zeros(len(walk[0])), np.cumsum(increments, axis=0)))
-    knots /= scale
-    return float(_distance_to_polyline(points, knots).max())
+    groups: dict[tuple[int, int], list[int]] = {}
+    knots = []
+    for index, walk in enumerate(walks):
+        if walk[-1][0] != n or any(c != 0 for c in walk[-1][1:]):
+            raise ValueError(f"walk must end on the axis at ({n}, 0)")
+        increments = [(s.t, *s.y) for s in bridge_skeleton(walk)]
+        knots.append(np.cumsum([(0,) * len(walk[0]), *increments], axis=0))
+        groups.setdefault((len(walk), len(increments)), []).append(index)
+    values = np.empty(len(knots))
+    for members in groups.values():
+        d = knots[members[0]].shape[1]
+        scale = np.array([n] + [math.sqrt(n)] * (d - 1), dtype=np.float64)
+        points = np.array([walks[i] for i in members], dtype=np.float64) / scale
+        curves = np.array([knots[i] for i in members], dtype=np.float64) / scale
+        values[members] = _distance_to_polyline(points, curves).max(axis=1)
+    return values

@@ -184,6 +184,35 @@ def test_read_skeletons_gives_back_the_sampled_arrays(pipeline_dir):
     assert np.array_equal(batch.offsets, sampled.offsets)
 
 
+# sha256 of the skeleton files of a d = 3 campaign (two transverse
+# columns, negative cells), recorded before skeleton CSVs were written
+# and read as int64 arrays
+D3_SKELETON_SHA256 = {
+    5: "015bec45a0b1ccba163263b343173fe557c7b568aef6251360d592628d33b022",
+    6: "ecde82d355e83c1dab8bf0b7eaf1f201978e54ed92ff6dfbfcda8f89436e08b7",
+}
+
+
+def test_d3_skeletons_round_trip_through_their_csv(tmp_path):
+    campaign = ("--d", "3", "--L", "7", "--n", "5,6", "--replicas", "200",
+                "--seed", "7", "--out", str(tmp_path))
+    for stage in ("enumerate", "calibrate", "sample", "analyze"):
+        assert run(stage, *campaign) == 0, stage
+    config = cli.resolve_config(None, {"d": 3, "cutoff": 7, "out": str(tmp_path)})
+    law, _ = cli.load_law(config)
+    for n, digest in D3_SKELETON_SHA256.items():
+        path = tmp_path / f"skeletons_n{n}.csv"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        _, batch = cli.read_skeletons(path)
+        sampled = sampler.sample_skeletons(
+            law, sampler.dp_partition(law, n), seed=7, replicates=range(200)
+        )
+        assert batch.n == sampled.n == n
+        assert batch.steps.shape[1] == 3 and (batch.steps < 0).any()
+        assert np.array_equal(batch.steps, sampled.steps)
+        assert np.array_equal(batch.offsets, sampled.offsets)
+
+
 def first_two_step_rows(rows) -> tuple[int, int]:
     """Indices of the first two rows of the first skeleton with k >= 2."""
     first = next(i for i, row in enumerate(rows) if int(row[1]) >= 2 and row[2] == "0")
@@ -203,12 +232,43 @@ def unpinned(rows) -> None:
     rows[0][4] = str(int(rows[0][4]) + 1)
 
 
+def ragged(rows) -> None:
+    del rows[1][-1]
+
+
+def fractional_cell(rows) -> None:
+    rows[0][4] = "1.5"
+
+
+def empty_cell(rows) -> None:
+    rows[0][4] = ""
+
+
+def letter_cell(rows) -> None:
+    rows[0][4] = "a"
+
+
+def header_only(rows) -> None:
+    rows.clear()
+
+
+def extra_column(rows) -> None:
+    for row in rows:
+        row.append("0")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (wrong_k, "k column disagrees"),
         (swapped_step_index, "step_index column disagrees"),
         (unpinned, "not pinned"),
+        (ragged, "number of columns changed"),
+        (fractional_cell, "could not convert string '1.5'"),
+        (empty_cell, "could not convert string ''"),
+        (letter_cell, "could not convert string 'a'"),
+        (header_only, "no rows"),
+        (extra_column, "6 cells, header has 5"),
     ],
 )
 def test_analyze_rejects_restamped_skeleton_rows(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sawbridge.reporting import (
     canonical_json,
     content_digest,
     read_csv_report,
+    read_int_csv_report,
     read_json_report,
     write_csv_report,
     write_json_report,
@@ -87,6 +89,55 @@ def test_csv_report_roundtrip(tmp_path):
     assert [int(r[0]) for r in loaded] == [0, 1, 5, 2]
     assert [float(r[1]) for r in loaded] == [0.5, 1.0 / 3.0, 0.1, 0.25]
     assert [r[2] for r in loaded] == ["a", "b", "label", "c"]
+
+
+INT64_EDGES = [0, -1, 2**62, -(2**62), np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (50, 1), (400, 5)])
+def test_int_table_is_written_as_its_row_lists(tmp_path, shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    # every decimal width from 1 to 19 digits, both signs
+    table = rng.integers(-9, 10, size=shape) * 10 ** rng.integers(0, 18, size=shape)
+    table.ravel()[: len(INT64_EDGES)] = INT64_EDGES[: table.size]
+    header = [f"c{j}" for j in range(shape[1])]
+    write_csv_report(tmp_path / "array.csv", header, table, {"seed": 1})
+    write_csv_report(tmp_path / "lists.csv", header, table.tolist(), {"seed": 1})
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+    config, names, loaded = read_int_csv_report(tmp_path / "array.csv")
+    assert (config, names) == ({"seed": 1}, header)
+    assert loaded.dtype == np.int64
+    assert np.array_equal(loaded, table)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["1", "2"], ["3"]], "number of columns changed"),
+        ([["1", "1.5"]], "could not convert string '1.5'"),
+        ([["1", ""]], "could not convert string ''"),
+        ([["a", "2"]], "could not convert string 'a'"),
+        ([], "no rows"),
+        ([["1", "2", "3"]], "3 cells, header has 2"),
+    ],
+)
+def test_int_table_rejects_cells_that_are_not_one_integer_per_column(
+    tmp_path, rows, message
+):
+    path = tmp_path / "table.csv"
+    write_csv_report(path, ["a", "b"], rows, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            read_int_csv_report(path)
+
+
+def test_int_table_detects_tampering(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv_report(path, ["a"], np.array([[1]]), {})
+    path.write_bytes(path.read_bytes().replace(b"\n1", b"\n2"))
+    with pytest.raises(ReportFormatError, match="sha256 mismatch"):
+        read_int_csv_report(path)
 
 
 def test_csv_report_uses_lf_only(tmp_path):

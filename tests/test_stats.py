@@ -323,26 +323,62 @@ def straight_walk(n: int) -> tuple[tuple[int, int], ...]:
 
 def test_shrinking_straight_walk_is_zero():
     walk = straight_walk(3)
-    assert stats.shrinking_statistic(walk, 3) == pytest.approx(0.0, abs=1e-15)
+    assert stats.shrinking_statistic([walk], 3)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_shrinking_single_step_walk_is_zero():
     walk = ((0, 0), (1, 0))
-    assert stats.shrinking_statistic(walk, 1) == pytest.approx(0.0, abs=1e-15)
+    assert stats.shrinking_statistic([walk], 1)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_shrinking_tent_walk_exact_value():
     # scaled walk vertices sit 1/sqrt(6) away from the two tent segments
     walk = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0))
     assert counting.bridge_skeleton(walk) == (FrameSplit(1, (1,)), FrameSplit(1, (-1,)))
-    value = stats.shrinking_statistic(walk, 2)
+    value = stats.shrinking_statistic([walk], 2)[0]
     assert value == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
 
 
 def test_shrinking_rejects_off_axis_walk():
     off_axis = ((0, 0), (1, 0), (1, 1))
     with pytest.raises(ValueError):
-        stats.shrinking_statistic(off_axis, 1)
+        stats.shrinking_statistic([off_axis], 1)
+
+
+def shrinking_one_walk(walk, n: int) -> float:
+    """The statistic of one walk, computed on its own: the reference the
+    grouped arithmetic of shrinking_statistic must equal bit for bit."""
+    scale = np.array([n] + [math.sqrt(n)] * (len(walk[0]) - 1))
+    points = np.asarray(walk, dtype=np.float64) / scale
+    increments = [(s.t, *s.y) for s in counting.bridge_skeleton(walk)]
+    knots = np.vstack((np.zeros(len(walk[0])), np.cumsum(increments, axis=0))) / scale
+    starts, spans = knots[:-1], knots[1:] - knots[:-1]
+    lengths2 = np.einsum("sd,sd->s", spans, spans)
+    offsets = points[:, None, :] - starts[None, :, :]
+    position = np.clip(np.einsum("psd,sd->ps", offsets, spans) / lengths2, 0.0, 1.0)
+    nearest = starts[None, :, :] + position[:, :, None] * spans[None, :, :]
+    return float(np.linalg.norm(points[:, None, :] - nearest, axis=2).min(axis=1).max())
+
+
+@pytest.mark.parametrize("d, n, cutoff", [(2, 4, 10), (3, 3, 5)])
+def test_shrinking_of_many_walks_equals_each_walk_alone(d, n, cutoff):
+    paths = sampler.ExhaustiveWalkSampler(d, n, cutoff).paths
+    assert len({(len(p), len(counting.bridge_skeleton(p))) for p in paths}) > 1
+    values = stats.shrinking_statistic(paths, n)
+    assert values.dtype == np.float64
+    assert values.tolist() == [shrinking_one_walk(p, n) for p in paths]
+
+
+@pytest.mark.parametrize(
+    "walk, message",
+    [
+        (((0, 0), (1, 0), (0, 0), (1, 0)), "not a self-avoiding walk"),
+        (((0, 0), (0, 1), (1, 1), (1, 0)), "only for bridges"),
+    ],
+)
+def test_shrinking_rejects_a_non_walk_and_a_non_bridge(walk, message):
+    with pytest.raises(ValueError, match=message):
+        stats.shrinking_statistic([straight_walk(1), walk], 1)
 
 
 def test_shrinking_shrinks_between_exhaustive_spans():
@@ -353,6 +389,6 @@ def test_shrinking_shrinks_between_exhaustive_spans():
         walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
         weights = np.exp(-1.2 * np.array([len(p) - 1 for p in walks.paths]))
         weights /= weights.sum()
-        values = [stats.shrinking_statistic(path, n) for path in walks.paths]
-        means[n] = float(weights @ np.array(values))
+        values = stats.shrinking_statistic(walks.paths, n)
+        means[n] = float(weights @ values)
     assert means[6] < means[4]
