@@ -446,10 +446,6 @@ def main(argv: list[str] | None = None) -> int:
             "grid", "threads", "out", "box_radius",
         )
     }
-    if overrides["spans"] is not None:
-        overrides["spans"] = tuple(overrides["spans"])
-    if overrides["grid"] is not None:
-        overrides["grid"] = tuple(overrides["grid"])
     try:
         file_payload = load_config_file(args.config) if args.config else None
         config = resolve_config(file_payload, overrides)

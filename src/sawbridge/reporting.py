@@ -30,6 +30,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# rows per % operation of an integer table, which bounds the Python ints
+# alive at once
+INT_ROWS_PER_BLOCK = 65536
+
 
 class ReportFormatError(ValueError):
     """A report file does not match its embedded hash or layout."""
@@ -92,15 +96,17 @@ def write_csv_report(
     """Write a hash-stamped CSV table.
 
     rows is either a sequence of rows, whose cells csv writes with str,
-    or a 2-D integer ndarray, whose body is formatted in one % operation.
+    or a 2-D integer ndarray, whose body is formatted one % operation per
+    INT_ROWS_PER_BLOCK rows.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-        count, width = rows.shape
-        line = "%d," * (width - 1) + "%d\n"
-        buffer.write((line * count) % tuple(rows.ravel().tolist()))
+        line = "%d," * (rows.shape[1] - 1) + "%d\n"
+        for start in range(0, len(rows), INT_ROWS_PER_BLOCK):
+            block = rows[start : start + INT_ROWS_PER_BLOCK]
+            buffer.write((line * len(block)) % tuple(block.ravel().tolist()))
     else:
         writer.writerows(rows)
     table = buffer.getvalue()

@@ -14,6 +14,11 @@ partial sums hitting (n, 0̃) is handled in two passes:
   (within the box truncation, whose leakage is measured against a wider
   box and reported).
 
+Both passes pad G by one step's reach (the law's widest transverse
+displacement around the box, and its longest t before slab 0), so every
+predecessor of an in-box state is an entry: nothing is clipped or masked,
+and a sampler state is one flat index that step i moves by a fixed offset.
+
 Sampling is batched: replicate streams are independent, and every
 per-replicate decision uses that replicate's own uniforms, so results
 are bit-identical regardless of batch or thread partitioning.
@@ -182,54 +187,41 @@ def _max_reach(law: StepLaw) -> int:
     return max((max((abs(c) for c in s.y), default=0) for s in law.probs), default=0)
 
 
-def _shifted_add(dst: np.ndarray, src: np.ndarray, shift: np.ndarray, w: float) -> None:
-    """dst[y] += w * src[y - shift], clipped to the common box."""
-    dst_slices = []
-    src_slices = []
-    for o, size in zip(shift, dst.shape):
-        o = int(o)
-        lo_d, hi_d = max(0, o), size + min(0, o)
-        if lo_d >= hi_d:
-            return
-        dst_slices.append(slice(lo_d, hi_d))
-        src_slices.append(slice(lo_d - o, hi_d - o))
-    dst[tuple(dst_slices)] += w * src[tuple(src_slices)]
-
-
 def _forward_slabs(
     t_arr: np.ndarray,
     y_arr: np.ndarray,
     p_arr: np.ndarray,
     n: int,
     radius: int,
-    d: int,
+    reach: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    shape = (2 * radius + 1,) * (d - 1)
-    mantissa = np.zeros((n + 1, *shape), dtype=np.float64)
+    d = y_arr.shape[1] + 1
+    width = 2 * radius + 1
+    # a zero margin of `reach` sites lets each step read one fixed window
+    padded = np.zeros((n + 1, *(width + 2 * reach,) * (d - 1)), dtype=np.float64)
+    box = (slice(reach, reach + width),) * (d - 1)
     log_scale = np.full(n + 1, -np.inf)
-    mantissa[0][(radius,) * (d - 1)] = 1.0
+    padded[0][(reach + radius,) * (d - 1)] = 1.0
     log_scale[0] = 0.0
-
-    by_jump: dict[int, list[int]] = {}
-    for i, tj in enumerate(t_arr):
-        by_jump.setdefault(int(tj), []).append(i)
+    windows = [tuple(slice(reach - c, reach - c + width) for c in y) for y in y_arr.tolist()]
 
     for t in range(1, n + 1):
-        sources = [tj for tj in sorted(by_jump) if tj <= t and log_scale[t - tj] > -np.inf]
-        if not sources:
+        steps = [
+            (i, t - tj)
+            for i, tj in enumerate(t_arr.tolist())
+            if tj <= t and log_scale[t - tj] > -np.inf
+        ]
+        if not steps:
             continue
-        anchor = max(log_scale[t - tj] for tj in sources)
-        acc = np.zeros(shape, dtype=np.float64)
-        for tj in sources:
-            rescale = math.exp(log_scale[t - tj] - anchor)
-            src = mantissa[t - tj]
-            for i in by_jump[tj]:
-                _shifted_add(acc, src, y_arr[i], rescale * p_arr[i])
-        peak = float(acc.max())
+        anchor = max(log_scale[s] for _, s in steps)
+        slab = padded[t][box]
+        for i, s in steps:
+            slab += math.exp(log_scale[s] - anchor) * p_arr[i] * padded[s][windows[i]]
+        peak = float(slab.max())
         if peak > 0.0:
-            mantissa[t] = acc / peak
+            slab /= peak
             log_scale[t] = anchor + math.log(peak)
-    return mantissa, log_scale
+    return padded[(slice(None), *box)], log_scale
 
 
 def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTable:
@@ -245,10 +237,10 @@ def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTa
             f"box radius {radius} cannot hold a step of transverse reach {reach}"
         )
     t_arr, y_arr, p_arr = law_arrays(law)
-    mantissa, log_scale = _forward_slabs(t_arr, y_arr, p_arr, n, radius, law.d)
+    mantissa, log_scale = _forward_slabs(t_arr, y_arr, p_arr, n, radius, reach)
 
     wide = radius + max(2 * reach, (radius + 1) // 2)
-    mant_w, logs_w = _forward_slabs(t_arr, y_arr, p_arr, n, wide, law.d)
+    mant_w, logs_w = _forward_slabs(t_arr, y_arr, p_arr, n, wide, reach)
 
     center = (radius,) * (law.d - 1)
     center_w = (wide,) * (law.d - 1)
@@ -283,44 +275,36 @@ def _sample_batch(
     """Law-step indices (in forward order) and increment counts of one
     replicate batch."""
     t_arr, y_arr, p_arr = law_arrays(law)
-    n, radius = partition.n, partition.radius
-    width = 2 * radius + 1
+    n, radius, reach = partition.n, partition.radius, _max_reach(law)
+    lag = int(t_arr.max())
     n_steps = len(t_arr)
     n_reps = len(reps)
 
-    flat = partition.mantissa.reshape(n + 1, -1)
+    # log G padded with -inf: `lag` slabs before t = 0, `reach` sites around the box
+    side = 2 * (radius + reach) + 1
+    log_g = np.full((lag + n + 1, *(side,) * (law.d - 1)), -np.inf)
+    box = (slice(lag, None), *(slice(reach, side - reach),) * (law.d - 1))
+    log_scale = partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
     with np.errstate(divide="ignore"):
-        log_g = np.log(flat) + partition.log_scale[:, None]
+        log_g[box] = np.log(partition.mantissa) + log_scale
         log_p = np.log(p_arr)
+    stride = np.array(log_g.strides) // log_g.itemsize
+    offset = np.column_stack((t_arr, y_arr)) @ stride
+    slab_1 = (lag + 1) * stride[0]  # the first state past slab 0
+    log_g = log_g.ravel()
 
     uniforms = uniform_block(seed, reps, n)
-    cur_t = np.full(n_reps, n, dtype=np.int64)
-    cur_y = np.zeros((n_reps, law.d - 1), dtype=np.int64)
+    state = np.full(n_reps, np.array((lag + n, *(reach + radius,) * (law.d - 1))) @ stride)
     choices = np.zeros((n_reps, n), dtype=np.int32)
     rounds = np.zeros(n_reps, dtype=np.int64)
 
-    # The backward kernel at (t, y) depends on that state alone, so each
+    # The backward kernel at a state depends on that state alone, so each
     # round builds it once per distinct state and gathers it per replicate.
     active = np.arange(n_reps)
     j = 0
     while active.size:
-        key = cur_t[active]
-        for axis in range(law.d - 1):
-            key = key * width + cur_y[active, axis] + radius
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        state_t = cur_t[active[first]]
-        state_y = cur_y[active[first]]
-
-        cand_t = state_t[:, None] - t_arr[None, :]
-        cand_y = state_y[:, None, :] - y_arr[None, :, :]
-        valid = (cand_t >= 0) & np.all(np.abs(cand_y) <= radius, axis=2)
-
-        coords = np.clip(cand_y + radius, 0, width - 1)
-        flat_idx = np.zeros(coords.shape[:2], dtype=np.int64)
-        for axis in range(law.d - 1):
-            flat_idx = flat_idx * width + coords[..., axis]
-        weights_log = log_p[None, :] + log_g[np.clip(cand_t, 0, n), flat_idx]
-        weights_log[~valid] = -np.inf
+        states, inverse = np.unique(state[active], return_inverse=True)
+        weights_log = log_p[None, :] + log_g[states[:, None] - offset[None, :]]
 
         row_max = weights_log.max(axis=1)
         dead = row_max == -np.inf
@@ -337,10 +321,9 @@ def _sample_batch(
         picked[~above.any(axis=1)] = n_steps - 1
 
         choices[active, j] = picked
-        cur_t[active] = cand_t[inverse, picked]
-        cur_y[active] = cand_y[inverse, picked]
+        state[active] -= offset[picked]
         rounds[active] = j + 1
-        active = active[cur_t[active] > 0]
+        active = active[state[active] >= slab_1]
         j += 1
 
     # choices are drawn last increment first, so each reversed row ends

@@ -116,11 +116,13 @@ def test_load_config_file_errors(tmp_path):
 def test_resolve_precedence():
     config = resolve_config(
         {"cutoff": 9, "seed": 4, "spans": [4, 8]},
-        {"seed": 11, "beta": None, "threads": 2},
+        {"seed": 11, "beta": None, "threads": 2, "spans": [6, 12], "grid": [0.25, 0.75]},
     )
     assert config.cutoff == 9
     assert config.seed == 11
-    assert config.spans == (4, 8)
+    # list-valued flags come back as the config's tuples
+    assert config.spans == (6, 12) and type(config.spans) is tuple
+    assert config.grid == (0.25, 0.75) and type(config.grid) is tuple
     assert config.beta == 1.2
     assert config.threads == 2
 

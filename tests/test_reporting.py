@@ -94,7 +94,9 @@ def test_csv_report_roundtrip(tmp_path):
 INT64_EDGES = [0, -1, 2**62, -(2**62), np.iinfo(np.int64).max, np.iinfo(np.int64).min]
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (50, 1), (400, 5)])
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (50, 1), (400, 5), (reporting.INT_ROWS_PER_BLOCK + 3, 2)]
+)
 def test_int_table_is_written_as_its_row_lists(tmp_path, shape):
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     # every decimal width from 1 to 19 digits, both signs

@@ -38,11 +38,15 @@ def make_law(probs: dict[FrameSplit, float], d: int = 2) -> StepLaw:
     return StepLaw(d=d, beta=1.2, cutoff=0, m_hat=0.0, probs=probs)
 
 
-@pytest.fixture(scope="module")
-def law_l9() -> StepLaw:
-    irr = counting.enumerate_counts(2, 9, WalkClass.IRREDUCIBLE_BRIDGE)
+def calibrated_law(d: int, cutoff: int) -> StepLaw:
+    irr = counting.enumerate_counts(d, cutoff, WalkClass.IRREDUCIBLE_BRIDGE)
     m_hat = renewal.calibrate_mass(irr, 1.2)
     return renewal.build_step_law(irr, 1.2, m_hat)
+
+
+@pytest.fixture(scope="module")
+def law_l9() -> StepLaw:
+    return calibrated_law(2, 9)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,22 @@ def test_partition_matches_oracle_on_random_laws(data):
         for y in range(-6, 7):
             want = oracle.get((t, (y,)), 0.0)
             assert table.value(t, (y,)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "d, cutoff, n, digest",
+    [
+        (2, 9, 512, "be4a9e1b6a230c4773aeaf4fe8c98d3aafd5e4920f17ac1e8a00738dc0743fe4"),
+        (3, 7, 40, "fc2fa62b53ee9a098615e2fa89cb7090d08da2812ba1eab927f66456e28a986d"),
+        (4, 5, 6, "5b7a5d6fe8d1b52d391b796592690a1e0016306a08f487558ce1bc3a02c4262c"),
+    ],
+)
+def test_partition_table_golden_digest(d, cutoff, n, digest):
+    # pins every mantissa, log scale and the leakage bit for bit, so any
+    # change to the order of the DP's floating-point operations shows up
+    table = sampler.dp_partition(calibrated_law(d, cutoff), n)
+    data = table.mantissa.tobytes() + table.log_scale.tobytes() + repr(table.leakage).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +367,23 @@ def increments_digest(skeletons: list[Skeleton]) -> str:
 
 
 @pytest.mark.parametrize(
-    "n, reps, digest",
+    "n, reps, digest, d, cutoff",
     [
         # n = 8 draws its uniforms on the vectorised short-stream path
-        (8, 300, "b724385ba71a8a1005d5fe59be91f785e8463caa68beda0ae0f7f5a90abec8f9"),
+        (8, 300, "b724385ba71a8a1005d5fe59be91f785e8463caa68beda0ae0f7f5a90abec8f9", 2, 9),
         # n = 512 is over four times the short-stream threshold
-        (512, 64, "36004873289a56456c5c466ebca2ac2c9ab255b605935ee2ab797fefbd791368"),
+        (512, 64, "36004873289a56456c5c466ebca2ac2c9ab255b605935ee2ab797fefbd791368", 2, 9),
+        # three transverse axes; recorded with the per-round kernel sampler
+        (6, 300, "789e7340e7fe1c629c3453831bb081c6bb89d09c8672492f075e746d6d9a8964", 4, 5),
     ],
 )
-def test_sampled_increments_golden_digest(law_l9, n, reps, digest):
+def test_sampled_increments_golden_digest(n, reps, digest, d, cutoff):
     # recorded with the sampler that built one np.random.Philox per stream
     # and one backward kernel per replicate; any change to the RNG streams
     # or to the kernel arithmetic shows up here
-    table = sampler.dp_partition(law_l9, n)
-    skeletons = sampler.sample_skeletons(law_l9, table, seed=11, replicates=range(reps))
+    law = calibrated_law(d, cutoff)
+    table = sampler.dp_partition(law, n)
+    skeletons = sampler.sample_skeletons(law, table, seed=11, replicates=range(reps))
     assert increments_digest(skeletons) == digest
 
 
