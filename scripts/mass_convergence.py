@@ -10,7 +10,8 @@ cutoff.
     python scripts/mass_convergence.py --d 2 --beta 1.2 --max-L 16 --threads 8
 
 Enumeration cost grows roughly with the connective constant to the
-power L; in the plane L = 16 takes a few minutes on several cores.
+power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 2.7 s with
+one worker and 1.4-2.0 s with two; the whole sweep above takes 3 s.
 """
 
 from __future__ import annotations

@@ -224,6 +224,9 @@ def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
     if not path.exists():
         raise ConfigError(f"missing ensemble {path}; run sample first")
     stamp, header, table = read_int_csv_report(path)
+    for name in ("n", "replicas"):
+        if name not in stamp:
+            raise ConfigError(f"{path}: stamp has no {name}")
     starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
     batch = sampler.SkeletonBatch(
         n=int(stamp["n"]), steps=table[:, 3:], offsets=np.append(starts, len(table))

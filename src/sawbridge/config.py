@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .counting import SUPPORTED_DIMENSIONS
@@ -114,10 +114,5 @@ def resolve_config(
     file_payload: dict | None, overrides: dict
 ) -> ExperimentConfig:
     """Defaults, then the config file, then explicit flags."""
-    config = config_from_dict(file_payload or {})
     supplied = {k: v for k, v in overrides.items() if v is not None}
-    if "spans" in supplied:
-        supplied["spans"] = tuple(int(n) for n in supplied["spans"])
-    if "grid" in supplied:
-        supplied["grid"] = tuple(float(t) for t in supplied["grid"])
-    return validate_config(replace(config, **supplied))
+    return validate_config(config_from_dict({**(file_payload or {}), **supplied}))

@@ -14,11 +14,12 @@ Three walk classes are tabulated:
 * IRREDUCIBLE_BRIDGE: a bridge none of whose interior levels k splits it
   into "everything <= k, then everything > k".
 
-ALL and BRIDGE are counted by one depth-first search skeleton (the whole
-lattice, or the half-space above the origin).  IRREDUCIBLE_BRIDGE is not
-searched: a bridge splits uniquely at its break levels into irreducible
-ones, so its table is solved exactly from the bridge table by renewal
-deconvolution (`irreducible_counts`).
+ALL and BRIDGE are counted by one depth-first search over the walks: a
+bridge is a walk that stays at level >= 1 and ends at its running
+maximum, so each node is tallied as a walk and, when it is one, as a
+bridge.  IRREDUCIBLE_BRIDGE is not searched: a bridge splits uniquely at
+its break levels into irreducible ones, so its table is solved exactly
+from the bridge table by renewal deconvolution (`irreducible_counts`).
 
 Signed axis permutations map walks onto walks, so the search visits only
 canonical walks: first step +e1, and first step off the e1 axis (the
@@ -29,8 +30,8 @@ sends e1 to the first step, e2 to the first turn and the other axes to
 the remaining axes in order with sign +1; each such orbit map carries the
 canonical walks one-to-one onto the walks with that step and turn.
 Bridges depend only on e1 levels, so they use the 2(d-1) maps that fix
-e1.  The full table is rebuilt from the canonical one by mapping each
-endpoint row once per map.
+e1.  Each class's table is rebuilt from its half of the canonical rows by
+mapping each endpoint row once per map.
 
 Sites are encoded as single integers (mixed-radix over the reachable box)
 so the visited set and endpoint keys are plain ints; decoding happens once
@@ -51,6 +52,7 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -72,7 +74,7 @@ SUPPORTED_DIMENSIONS = (2, 3, 4)
 _GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
 
 NODE_BUDGET = 5e10
-DEFAULT_SPLIT_DEPTH = 6
+SPLIT_DEPTH = 6
 
 
 class WalkClass(Enum):
@@ -151,7 +153,7 @@ def _decode(code: int, d: int, cutoff: int) -> Site:
     return tuple(out)
 
 
-def _explore_all(
+def _explore(
     d: int,
     cutoff: int,
     prefix: tuple[int, ...],
@@ -161,54 +163,13 @@ def _explore_all(
     """Count self-avoiding extensions of an encoded path prefix.
 
     The prefix's last node and every node below it are tallied by
-    endpoint and depth.  When stop_depth is given, nodes at that depth are
-    appended to sink (as full code paths) instead of being recorded or
-    expanded; this is the prefix pass of the parallel split.
-    """
-    offsets = _axis_offsets(d, cutoff)
-    visited = set(prefix)
-    stack = list(prefix)
-    counts: dict[int, list[int]] = {}
-    stop = -1 if stop_depth is None else stop_depth
-    width = cutoff + 1
-
-    def rec(pos: int, depth: int) -> None:
-        if depth == stop:
-            sink.append(tuple(stack))
-            return
-        row = counts.get(pos)
-        if row is None:
-            row = counts[pos] = [0] * width
-        row[depth] += 1
-        if depth == cutoff:
-            return
-        nd = depth + 1
-        for off in offsets:
-            nxt = pos + off
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            stack.append(nxt)
-            rec(nxt, nd)
-            stack.pop()
-            visited.remove(nxt)
-
-    rec(prefix[-1], len(prefix) - 1)
-    return counts
-
-
-def _explore_halfspace(
-    d: int,
-    cutoff: int,
-    prefix: tuple[int, ...],
-    stop_depth: int | None,
-    sink: list[tuple[int, ...]] | None,
-) -> dict[int, list[int]]:
-    """Count bridges at and below an encoded path prefix.
-
-    The search tree is the half-space tree: every site after the origin
-    has first coordinate >= 1.  A node is recorded iff its endpoint level
-    equals the running maximum `top` (it is a bridge).
+    endpoint and depth in a row of 2(cutoff + 1) counts: every node in the
+    first half, bridges also in the second.  A node is a bridge iff its
+    level x0 equals the running maximum `top`; once the walk steps below
+    level 1, `top` is cutoff + 1, which no level reaches.  When stop_depth
+    is given, nodes at that depth are appended to sink (as full code paths)
+    instead of being recorded or expanded; this is the prefix pass of the
+    parallel split.
     """
     base = 2 * cutoff + 1
     offsets = _axis_offsets(d, cutoff)
@@ -217,6 +178,7 @@ def _explore_halfspace(
     counts: dict[int, list[int]] = {}
     stop = -1 if stop_depth is None else stop_depth
     width = cutoff + 1
+    never = cutoff + 1
     lvls = [c % base - cutoff for c in prefix]
     moves = [(offsets[0], 1), (offsets[1], -1), *((off, 0) for off in offsets[2:])]
 
@@ -224,36 +186,33 @@ def _explore_halfspace(
         if depth == stop:
             sink.append(tuple(stack))
             return
+        row = counts.get(pos)
+        if row is None:
+            row = counts[pos] = [0] * (2 * width)
+        row[depth] += 1
         if x0 == top:
-            row = counts.get(pos)
-            if row is None:
-                row = counts[pos] = [0] * width
-            row[depth] += 1
+            row[width + depth] += 1
         if depth == cutoff:
             return
         nd = depth + 1
         for off, rise in moves:
             nxt = pos + off
-            nx0 = x0 + rise
-            if nx0 < 1 or nxt in visited:
+            if nxt in visited:
                 continue
+            nx0 = x0 + rise
             visited.add(nxt)
             stack.append(nxt)
-            rec(nxt, nx0, nx0 if nx0 > top else top, nd)
+            rec(nxt, nx0, never if nx0 < 1 else nx0 if nx0 > top else top, nd)
             stack.pop()
             visited.remove(nxt)
 
-    rec(prefix[-1], lvls[-1], max(lvls), len(prefix) - 1)
+    top = max(lvls) if min(lvls[1:]) >= 1 else never
+    rec(prefix[-1], lvls[-1], top, len(prefix) - 1)
     return counts
 
 
-_SEARCHES = {WalkClass.ALL: _explore_all, WalkClass.BRIDGE: _explore_halfspace}
-
-
-def _subtree_counts(task: tuple[int, int, str, tuple[int, ...]]) -> dict[int, list[int]]:
-    d, cutoff, class_value, prefix = task
-    search = _SEARCHES[WalkClass(class_value)]
-    return search(d, cutoff, prefix, None, None)
+def _subtree_counts(task: tuple[int, int, tuple[int, ...]]) -> dict[int, list[int]]:
+    return _explore(*task, None, None)
 
 
 def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None:
@@ -293,7 +252,8 @@ def _rebuild_table(
 ) -> dict[Site, np.ndarray]:
     """Endpoint-sorted table of the class from its canonical-walk counts.
 
-    Each canonical row is added once per orbit map; the straight walks,
+    Each canonical row's half for the class (ALL first, BRIDGE second) is
+    added once per orbit map, unless it is all zero; the straight walks,
     which have no first turn, are added once each.
     """
     counts: dict[Site, np.ndarray] = {}
@@ -304,11 +264,14 @@ def _rebuild_table(
             acc = counts[site] = np.zeros(cutoff + 1, dtype=np.int64)
         return acc
 
+    lo = 0 if walk_class is WalkClass.ALL else cutoff + 1
     maps = _orbit_maps(d, walk_class)
     image = [0] * d
     for code, canonical_row in canonical.items():
+        arr = np.array(canonical_row[lo : lo + cutoff + 1], dtype=np.int64)
+        if not arr.any():
+            continue
         site = _decode(code, d, cutoff)
-        arr = np.array(canonical_row, dtype=np.int64)
         for m in maps:
             for x, (axis, sign) in zip(site, m):
                 image[axis] = sign * x
@@ -327,28 +290,55 @@ def _rebuild_table(
     return dict(sorted(counts.items()))
 
 
+@lru_cache(maxsize=1)
+def _canonical_counts(d: int, cutoff: int, threads: int) -> dict[int, list[int]]:
+    """Counts of the canonical walks, in the rows `_explore` tallies.
+
+    The last result is kept, so the ALL and BRIDGE tables of one (d,
+    cutoff) cost one search; callers must not mutate it.  With threads > 1
+    each canonical subtree is split at SPLIT_DEPTH into independent tasks
+    executed in a process pool (a subtree rooted deeper is one task);
+    counts merge by addition, so the result is identical for every thread
+    count.
+    """
+    step_e1, _, step_e2 = _axis_offsets(d, cutoff)[:3]
+    spine = [_encode_origin(d, cutoff)]
+    roots: list[tuple[int, ...]] = []
+    for _ in range(1, cutoff):
+        spine.append(spine[-1] + step_e1)
+        roots.append((*spine, spine[-1] + step_e2))
+
+    split = threads > 1 and cutoff > SPLIT_DEPTH
+    stop = SPLIT_DEPTH if split else None
+    canonical: dict[int, list[int]] = {}
+    prefixes: list[tuple[int, ...]] = []
+    for root in roots:
+        if split and len(root) - 1 > SPLIT_DEPTH:
+            prefixes.append(root)
+            continue
+        _merge_counts(canonical, _explore(d, cutoff, root, stop, prefixes))
+    if prefixes:
+        tasks = [(d, cutoff, p) for p in prefixes]
+        chunk = max(1, len(tasks) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for part in pool.map(_subtree_counts, tasks, chunksize=chunk):
+                _merge_counts(canonical, part)
+    return canonical
+
+
 def enumerate_counts(
-    d: int,
-    cutoff: int,
-    walk_class: WalkClass,
-    *,
-    threads: int = 1,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
+    d: int, cutoff: int, walk_class: WalkClass, *, threads: int = 1
 ) -> CountTable:
     """Exhaustively count walks of one class up to `cutoff` steps.
 
-    The search covers the canonical walks only (first step +e1, first turn
-    +e2) and the table is rebuilt from them by the orbit maps; see the
-    module docstring.  With threads > 1 each canonical subtree is split at
-    `split_depth` into independent tasks executed in a process pool (a
-    subtree rooted deeper is one task); counts merge by addition, so the
-    result is identical for every thread count.  IRREDUCIBLE_BRIDGE counts
-    the bridges this way and derives its table with `irreducible_counts`.
+    One search covers the canonical walks only (first step +e1, first turn
+    +e2), tallying ALL and BRIDGE at once, and the class's table is rebuilt
+    from them by the orbit maps; see the module docstring.  IRREDUCIBLE_BRIDGE
+    counts the bridges this way and derives its table with
+    `irreducible_counts`.
     """
     if walk_class is WalkClass.IRREDUCIBLE_BRIDGE:
-        bridge = enumerate_counts(
-            d, cutoff, WalkClass.BRIDGE, threads=threads, split_depth=split_depth
-        )
+        bridge = enumerate_counts(d, cutoff, WalkClass.BRIDGE, threads=threads)
         return irreducible_counts(bridge)
     check_dimension(d)
     if cutoff < 0:
@@ -359,31 +349,7 @@ def enumerate_counts(
             f"estimated {estimate:.2e} walk-tree nodes (the full tree, not the "
             f"symmetry-reduced search) exceeds budget {NODE_BUDGET:.2e}"
         )
-
-    step_e1, _, step_e2 = _axis_offsets(d, cutoff)[:3]
-    spine = [_encode_origin(d, cutoff)]
-    roots: list[tuple[int, ...]] = []
-    for _ in range(1, cutoff):
-        spine.append(spine[-1] + step_e1)
-        roots.append((*spine, spine[-1] + step_e2))
-
-    split = threads > 1 and cutoff > split_depth
-    stop = split_depth if split else None
-    canonical: dict[int, list[int]] = {}
-    prefixes: list[tuple[int, ...]] = []
-    for root in roots:
-        if split and len(root) - 1 > split_depth:
-            prefixes.append(root)
-            continue
-        part = _SEARCHES[walk_class](d, cutoff, root, stop, prefixes)
-        _merge_counts(canonical, part)
-    if prefixes:
-        tasks = [(d, cutoff, walk_class.value, p) for p in prefixes]
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_subtree_counts, tasks, chunksize=chunk):
-                _merge_counts(canonical, part)
-
+    canonical = _canonical_counts(d, cutoff, threads)
     counts = _rebuild_table(d, cutoff, walk_class, canonical)
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
 

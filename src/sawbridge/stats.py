@@ -62,7 +62,6 @@ class BridgeFit:
 
     sigma2_hat: float
     rel_rms: float
-    residuals: np.ndarray
 
 
 def require_grid(grid: np.ndarray) -> None:
@@ -135,7 +134,7 @@ def fit_bridge_covariance(cov: np.ndarray, grid: np.ndarray) -> BridgeFit:
     rel_rms = float(
         np.linalg.norm(residuals[upper]) / np.linalg.norm(model[upper])
     )
-    return BridgeFit(sigma2_hat=sigma2, rel_rms=rel_rms, residuals=residuals)
+    return BridgeFit(sigma2_hat=sigma2, rel_rms=rel_rms)
 
 
 def kolmogorov_pvalue(statistic: float, sample_size: int) -> float:

@@ -38,3 +38,19 @@ def irr_table_l13() -> counting.CountTable:
 def step_law_l13(irr_table_l13) -> renewal.StepLaw:
     m_hat = renewal.calibrate_mass(irr_table_l13, beta=1.2)
     return renewal.build_step_law(irr_table_l13, beta=1.2, m_hat=m_hat)
+
+
+@pytest.fixture
+def searched_roots(monkeypatch) -> list[tuple[int, ...]]:
+    """The prefixes the in-process depth-first search is started from, with
+    the search memo cleared first."""
+    roots: list[tuple[int, ...]] = []
+    explore = counting._explore
+
+    def counted(d, cutoff, prefix, stop_depth, sink):
+        roots.append(prefix)
+        return explore(d, cutoff, prefix, stop_depth, sink)
+
+    monkeypatch.setattr(counting, "_explore", counted)
+    counting._canonical_counts.cache_clear()
+    return roots

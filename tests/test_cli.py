@@ -53,6 +53,11 @@ def test_enumerate_cutoff_zero(tmp_path):
     assert [r[:2] for r in rows] == [["0", "1"]]
 
 
+def test_enumerate_runs_one_search(tmp_path, searched_roots):
+    assert run("enumerate", "--d", "2", "--L", "7", "--out", tmp_path) == 0
+    assert len(searched_roots) == len(set(searched_roots)) == 6
+
+
 def test_calibrate_report(pipeline_dir):
     report = read_json_report(pipeline_dir / "step_law_d2_L12.json")
     assert report["m_hat"] == pytest.approx(MASS_ESTIMATE_L12, rel=1e-12)
@@ -281,6 +286,23 @@ def test_analyze_rejects_restamped_skeleton_rows(
     capsys.readouterr()
     assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n", "replicas"])
+def test_analyze_rejects_a_stamp_without_n_or_replicas(
+    pipeline_dir, tmp_path, capsys, field
+):
+    # the config line is outside the CSV's sha256, so a hand edit gets here
+    copy_ensembles(pipeline_dir, tmp_path)
+    path = tmp_path / "skeletons_n5.csv"
+    stamp, header, rows = read_csv_report(path)
+    del stamp[field]
+    write_csv_report(path, header, rows, stamp)
+    with pytest.raises(cli.ConfigError, match=f"stamp has no {field}"):
+        cli.read_skeletons(path)
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert f"stamp has no {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -269,14 +269,27 @@ def test_transverse_symmetry(d, cutoff, walk_class):
     [(2, 7, depth) for depth in range(1, 8)] + [(3, 5, depth) for depth in range(1, 6)],
 )
 @pytest.mark.parametrize("walk_class", list(WalkClass))
-def test_parallel_enumeration_matches_serial(walk_class, d, cutoff, split_depth):
+def test_parallel_enumeration_matches_serial(
+    monkeypatch, walk_class, d, cutoff, split_depth
+):
+    counting._canonical_counts.cache_clear()
     serial = counting.enumerate_counts(d, cutoff, walk_class)
-    parallel = counting.enumerate_counts(
-        d, cutoff, walk_class, threads=3, split_depth=split_depth
-    )
+    monkeypatch.setattr(counting, "SPLIT_DEPTH", split_depth)
+    counting._canonical_counts.cache_clear()
+    parallel = counting.enumerate_counts(d, cutoff, walk_class, threads=3)
     assert serial.endpoints() == parallel.endpoints()
     for site in serial.endpoints():
         assert np.array_equal(serial.counts[site], parallel.counts[site])
+
+
+def test_walks_and_bridges_share_one_search(searched_roots):
+    # one serial search starts once from each canonical root
+    # (0, e1, ..., k e1, k e1 + e2), k = 1..cutoff-1
+    counting.enumerate_counts(2, 7, WalkClass.ALL)
+    assert len(searched_roots) == len(set(searched_roots)) == 6
+    counting.enumerate_counts(2, 7, WalkClass.BRIDGE)
+    counting.enumerate_counts(2, 7, WalkClass.IRREDUCIBLE_BRIDGE)
+    assert len(searched_roots) == 6
 
 
 def test_validation_and_budget_errors():
@@ -314,12 +327,14 @@ def test_cache_roundtrip(tmp_path):
         counting.load_count_table(empty)
 
 
-@pytest.mark.parametrize("threads,split_depth", [(1, counting.DEFAULT_SPLIT_DEPTH), (2, 3)])
+@pytest.mark.parametrize("threads,split_depth", [(1, counting.SPLIT_DEPTH), (2, 3)])
 @pytest.mark.parametrize("d,cutoff,walk_class", list(GOLDEN_CACHE_SHA256))
-def test_cache_bytes_match_golden_digest(tmp_path, d, cutoff, walk_class, threads, split_depth):
-    table = counting.enumerate_counts(
-        d, cutoff, walk_class, threads=threads, split_depth=split_depth
-    )
+def test_cache_bytes_match_golden_digest(
+    monkeypatch, tmp_path, d, cutoff, walk_class, threads, split_depth
+):
+    monkeypatch.setattr(counting, "SPLIT_DEPTH", split_depth)
+    counting._canonical_counts.cache_clear()
+    table = counting.enumerate_counts(d, cutoff, walk_class, threads=threads)
     path = tmp_path / "table.bin"
     counting.save_count_table(table, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
