@@ -289,36 +289,17 @@ def cmd_analyze(config: ExperimentConfig) -> None:
         "shrink": shrink_rows,
     }
     out = Path(config.out)
-    stamp = provenance(
-        config,
-        "d", "cutoff", "beta", "spans", "replicas", "seed", "grid", "box_radius",
-        law_digest=digest,
-    )
+    stamp = provenance(config, *SKELETON_FIELDS, "spans", law_digest=digest)
     write_json_report(out / "report.json", payload, stamp)
-    write_csv_report(
-        out / "fit.csv",
-        ["n", "sigma2_hat", "rel_rms"],
-        [[fit_span, fit.sigma2_hat, fit.rel_rms]],
-        stamp,
-    )
-    write_csv_report(
-        out / "ks.csv",
-        ["t", "stat", "p"],
-        [[row["t"], row["stat"], row["p"]] for row in ks_rows],
-        stamp,
-    )
-    write_csv_report(
-        out / "gap.csv",
-        ["n", "fraction"],
-        [[row["n"], row["fraction"]] for row in gap_rows],
-        stamp,
-    )
-    write_csv_report(
-        out / "shrink.csv",
-        ["n", "mean", "max"],
-        [[row["n"], row["mean"], row["max"]] for row in shrink_rows],
-        stamp,
-    )
+    fit_rows = [{"n": fit_span, "sigma2_hat": fit.sigma2_hat, "rel_rms": fit.rel_rms}]
+    for name, header, rows in (
+        ("fit", ["n", "sigma2_hat", "rel_rms"], fit_rows),
+        ("ks", ["t", "stat", "p"], ks_rows),
+        ("gap", ["n", "fraction"], gap_rows),
+        ("shrink", ["n", "mean", "max"], shrink_rows),
+    ):
+        table = [[row[key] for key in header] for row in rows]
+        write_csv_report(out / f"{name}.csv", header, table, stamp)
 
 
 def encode_skeleton(increments: tuple[FrameSplit, ...]) -> str:

@@ -14,10 +14,14 @@ partial sums hitting (n, 0̃) is handled in two passes:
   (within the box truncation, whose leakage is measured against a wider
   box and reported).
 
-Both passes pad G by one step's reach (the law's widest transverse
-displacement around the box, and its longest t before slab 0), so every
-predecessor of an in-box state is an entry: nothing is clipped or masked,
-and a sampler state is one flat index that step i moves by a fixed offset.
+Both passes index one lag-padded slab array: the law's longest t of
+empty slabs before slab 0, and a zero margin of one step's reach (its
+widest transverse displacement) around the box.  So every predecessor of
+an in-box state is an entry: nothing is clipped or masked, and a sampler
+state is one flat index that step i moves by a fixed offset.  The DP
+builds slab t from one gathered block (every step's window of slab
+t - t_i, times its coefficient) summed along the steps by one reduction:
+the same floating-point operations, in law order, as one update per step.
 
 Sampling is batched: replicate streams are independent, and every
 per-replicate decision uses that replicate's own uniforms, so results
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from itertools import pairwise, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import NoBridgesError, iter_bridges_to_axis_point
 from .lattice import FrameSplit, Site
@@ -47,6 +52,9 @@ from .rng import uniform_block
 MAX_LEAKAGE = 1e-6
 # replicates per backward-sampling batch, and per pool task when threaded
 BATCH_SIZE = 4096
+# cells the partition DP's sum holds at once: the running sum of a slab's
+# box and one gathered block of law steps' windows
+BLOCK_CELLS = 2**18
 
 
 class BoxTooSmallError(ValueError):
@@ -133,27 +141,32 @@ def _increments(rows: np.ndarray) -> tuple[FrameSplit, ...]:
 class PartitionTable:
     """Pinned partition function G over slabs, in mantissa/log-scale form.
 
-    mantissa[t] holds the transverse profile of slab t scaled to unit
-    maximum; log_scale[t] restores the true magnitude (-inf marks an
-    empty slab).  leakage reports how much conditioned mass the box
+    padded holds the mantissas in the lag-padded layout both passes index
+    (see the module docstring); mantissa[t] is its box at slab t, scaled to
+    unit maximum, and log_scale[t] restores the true magnitude (-inf marks
+    an empty slab).  leakage reports how much conditioned mass the box
     truncation lost, measured against a wider box.
     """
 
     d: int
     n: int
     radius: int
-    mantissa: np.ndarray
+    padded: np.ndarray
     log_scale: np.ndarray
     leakage: float
 
+    @property
+    def mantissa(self) -> np.ndarray:
+        width = 2 * self.radius + 1
+        reach = (self.padded.shape[1] - width) // 2
+        box = (slice(reach, reach + width),) * (self.d - 1)
+        return self.padded[(slice(-self.n - 1, None), *box)]
+
     def value(self, t: int, y: Site) -> float:
         idx = tuple(c + self.radius for c in y)
-        if any(not 0 <= i < 2 * self.radius + 1 for i in idx):
+        if not 0 <= t <= self.n or any(not 0 <= i < 2 * self.radius + 1 for i in idx):
             return 0.0
-        scale = self.log_scale[t]
-        if scale == -np.inf:
-            return 0.0
-        return float(self.mantissa[t][idx] * math.exp(scale))
+        return float(self.mantissa[t][idx] * math.exp(self.log_scale[t]))
 
 
 def law_arrays(law: StepLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,31 +210,48 @@ def _forward_slabs(
 ) -> tuple[np.ndarray, np.ndarray]:
     d = y_arr.shape[1] + 1
     width = 2 * radius + 1
-    # a zero margin of `reach` sites lets each step read one fixed window
-    padded = np.zeros((n + 1, *(width + 2 * reach,) * (d - 1)), dtype=np.float64)
-    box = (slice(reach, reach + width),) * (d - 1)
+    lag = int(t_arr.max())
+    # `lag` empty slabs before t = 0 and a zero margin of `reach` sites let
+    # every step read one fixed window of its source slab
+    padded = np.zeros((lag + n + 1, *(width + 2 * reach,) * (d - 1)))
+    padded[(lag, *(reach + radius,) * (d - 1))] = 1.0
     log_scale = np.full(n + 1, -np.inf)
-    padded[0][(reach + radius,) * (d - 1)] = 1.0
     log_scale[0] = 0.0
-    windows = [tuple(slice(reach - c, reach - c + width) for c in y) for y in y_arr.tolist()]
+    box = (slice(reach, reach + width),) * (d - 1)
+    windows = sliding_window_view(padded, (width,) * (d - 1), axis=tuple(range(1, d)))
+    corners = tuple(reach - y_arr.T)
+    lengths = sorted(set(t_arr.tolist()))
+    rows = max(1, BLOCK_CELLS // width ** (d - 1) - 1)
+    # the running sum is contiguous: reducing into a slab's strided box is
+    # several times slower at d = 4
+    total = np.empty((width,) * (d - 1))
 
     for t in range(1, n + 1):
-        steps = [
-            (i, t - tj)
-            for i, tj in enumerate(t_arr.tolist())
-            if tj <= t and log_scale[t - tj] > -np.inf
-        ]
-        if not steps:
+        live = [tj for tj in lengths if tj <= t and log_scale[t - tj] > -np.inf]
+        anchor = max((log_scale[t - tj] for tj in live), default=0.0)
+        scale = np.zeros(lag + 1)  # by step length; 0 for a dead lag
+        for tj in live:
+            scale[tj] = math.exp(log_scale[t - tj] - anchor)
+        coef = scale[t_arr] * p_arr
+        terms = np.flatnonzero(coef)  # the rest would add exact zeros
+        if not terms.size:
             continue
-        anchor = max(log_scale[s] for _, s in steps)
-        slab = padded[t][box]
-        for i, s in steps:
-            slab += math.exp(log_scale[s] - anchor) * p_arr[i] * padded[s][windows[i]]
-        peak = float(slab.max())
+        # terms sum in law order: np.add.reduce adds the rows of a block in
+        # order when a row has more than one cell (so radius >= 1), and a
+        # later block carries the running sum as its first row
+        for a in range(0, len(terms), rows):
+            i = terms[a : a + rows]
+            block = windows[(lag + t - t_arr[i], *(c[i] for c in corners))]
+            block *= coef[i].reshape(-1, *(1,) * (d - 1))
+            if a:
+                block[0] += total
+            np.add.reduce(block, axis=0, out=total)
+            del block  # before the next one is gathered
+        peak = float(total.max())
         if peak > 0.0:
-            slab /= peak
+            np.divide(total, peak, out=padded[lag + t][box])
             log_scale[t] = anchor + math.log(peak)
-    return padded[(slice(None), *box)], log_scale
+    return padded, log_scale
 
 
 def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTable:
@@ -232,33 +262,24 @@ def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTa
     reach = _max_reach(law)
     if radius is None:
         radius = default_box_radius(law, n)
-    if radius < reach:
+    if radius < max(reach, 1):
         raise BoxTooSmallError(
-            f"box radius {radius} cannot hold a step of transverse reach {reach}"
+            f"box radius {radius} is below 1 or below the law's transverse reach {reach}"
         )
     t_arr, y_arr, p_arr = law_arrays(law)
-    mantissa, log_scale = _forward_slabs(t_arr, y_arr, p_arr, n, radius, reach)
+    padded, log_scale = _forward_slabs(t_arr, y_arr, p_arr, n, radius, reach)
 
     wide = radius + max(2 * reach, (radius + 1) // 2)
-    mant_w, logs_w = _forward_slabs(t_arr, y_arr, p_arr, n, wide, reach)
+    padded_w, logs_w = _forward_slabs(t_arr, y_arr, p_arr, n, wide, reach)
 
-    center = (radius,) * (law.d - 1)
-    center_w = (wide,) * (law.d - 1)
-    pinned = mantissa[n][center]
-    pinned_w = mant_w[n][center_w]
+    pinned = padded[(-1, *(reach + radius,) * (law.d - 1))]
+    pinned_w = padded_w[(-1, *(reach + wide,) * (law.d - 1))]
     if pinned_w <= 0.0 or log_scale[n] == -np.inf:
         leakage = 0.0 if pinned <= 0.0 else 1.0
     else:
         ratio = (pinned / pinned_w) * math.exp(log_scale[n] - logs_w[n])
         leakage = max(0.0, 1.0 - ratio)
-    return PartitionTable(
-        d=law.d,
-        n=n,
-        radius=radius,
-        mantissa=mantissa,
-        log_scale=log_scale,
-        leakage=leakage,
-    )
+    return PartitionTable(law.d, n, radius, padded, log_scale, leakage)
 
 
 def require_leakage(partition: PartitionTable) -> None:
@@ -275,26 +296,23 @@ def _sample_batch(
     """Law-step indices (in forward order) and increment counts of one
     replicate batch."""
     t_arr, y_arr, p_arr = law_arrays(law)
-    n, radius, reach = partition.n, partition.radius, _max_reach(law)
-    lag = int(t_arr.max())
-    n_steps = len(t_arr)
+    n = partition.n
     n_reps = len(reps)
 
-    # log G padded with -inf: `lag` slabs before t = 0, `reach` sites around the box
-    side = 2 * (radius + reach) + 1
-    log_g = np.full((lag + n + 1, *(side,) * (law.d - 1)), -np.inf)
-    box = (slice(lag, None), *(slice(reach, side - reach),) * (law.d - 1))
-    log_scale = partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
+    # log G in the table's padded layout, -inf wherever its mantissa is 0
     with np.errstate(divide="ignore"):
-        log_g[box] = np.log(partition.mantissa) + log_scale
+        log_g = np.log(partition.padded)
         log_p = np.log(p_arr)
+    lag = len(log_g) - n - 1
+    log_g[lag:] += partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
     stride = np.array(log_g.strides) // log_g.itemsize
     offset = np.column_stack((t_arr, y_arr)) @ stride
     slab_1 = (lag + 1) * stride[0]  # the first state past slab 0
     log_g = log_g.ravel()
 
     uniforms = uniform_block(seed, reps, n)
-    state = np.full(n_reps, np.array((lag + n, *(reach + radius,) * (law.d - 1))) @ stride)
+    # (n, 0̃) is the centre of slab n, whose sides are odd
+    state = np.full(n_reps, (lag + n) * stride[0] + stride[0] // 2)
     choices = np.zeros((n_reps, n), dtype=np.int32)
     rounds = np.zeros(n_reps, dtype=np.int64)
 
@@ -318,7 +336,7 @@ def _sample_batch(
         target = uniforms[active, j] * cumulative[inverse, -1]
         above = cumulative[inverse] > target[:, None]
         picked = np.argmax(above, axis=1)
-        picked[~above.any(axis=1)] = n_steps - 1
+        picked[~above.any(axis=1)] = len(t_arr) - 1
 
         choices[active, j] = picked
         state[active] -= offset[picked]

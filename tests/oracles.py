@@ -6,7 +6,9 @@ modules, with two exceptions: exact_gap_fraction reuses the package's
 partition DP, which the tests check against composition_partition, and
 is itself checked against renewal_conditioned_law; batch_of only packs
 test skeletons into the package's SkeletonBatch.  Agreement between
-the two sides is the point of the tests.
+the two sides is the point of the tests.  per_step_slabs is the one
+numpy reference: the partition DP as one update per law step, whose
+floating-point operations the package's block sum must repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Iterator, Sequence
+
+import numpy as np
 
 Site = tuple[int, ...]
 Path = tuple[Site, ...]
@@ -168,6 +172,46 @@ def composition_partition(
                 key = (t, ny)
                 table[key] = table.get(key, 0.0) + mass * sp
     return table
+
+
+def per_step_slabs(
+    t_arr: np.ndarray,
+    y_arr: np.ndarray,
+    p_arr: np.ndarray,
+    n: int,
+    radius: int,
+    reach: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-box mantissas and log scales of the slab DP, one numpy update per
+    law step: slab t adds exp(log_scale[t - t_i] - anchor) * p_i times the
+    window of slab t - t_i, for the live lags only, in law order, then
+    scales to unit maximum."""
+    d = y_arr.shape[1] + 1
+    width = 2 * radius + 1
+    padded = np.zeros((n + 1, *(width + 2 * reach,) * (d - 1)), dtype=np.float64)
+    box = (slice(reach, reach + width),) * (d - 1)
+    log_scale = np.full(n + 1, -np.inf)
+    padded[0][(reach + radius,) * (d - 1)] = 1.0
+    log_scale[0] = 0.0
+    windows = [tuple(slice(reach - c, reach - c + width) for c in y) for y in y_arr.tolist()]
+
+    for t in range(1, n + 1):
+        steps = [
+            (i, t - tj)
+            for i, tj in enumerate(t_arr.tolist())
+            if tj <= t and log_scale[t - tj] > -np.inf
+        ]
+        if not steps:
+            continue
+        anchor = max(log_scale[s] for _, s in steps)
+        slab = padded[t][box]
+        for i, s in steps:
+            slab += math.exp(log_scale[s] - anchor) * p_arr[i] * padded[s][windows[i]]
+        peak = float(slab.max())
+        if peak > 0.0:
+            slab /= peak
+            log_scale[t] = anchor + math.log(peak)
+    return padded[(slice(None), *box)], log_scale
 
 
 def normal_cdf(z: float) -> float:

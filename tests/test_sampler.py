@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from oracles import (
     composition_partition,
     interpolate_process,
     naive_is_bridge,
+    per_step_slabs,
     renewal_conditioned_law,
     scaled_knots,
 )
@@ -93,6 +97,14 @@ def test_partition_value_outside_box_is_zero(law_l9):
     assert table.value(2, (-table.radius - 1,)) == 0.0
 
 
+def test_partition_value_outside_the_slabs_is_zero(law_l9):
+    # a negative t must not wrap around to slab n, nor a t above n index past it
+    table = sampler.dp_partition(law_l9, 4)
+    assert table.value(4, ORIGIN_1D) > 0.0
+    for t in (-1, -5, 5, 100):
+        assert table.value(t, ORIGIN_1D) == 0.0
+
+
 def test_partition_matches_composition_oracle_truncated_law(step_law_l13):
     # restrict to short legs so the brute-force composition sum stays small
     sub = {s: p for s, p in step_law_l13.probs.items() if s.t <= 3}
@@ -154,6 +166,50 @@ def test_partition_table_golden_digest(d, cutoff, n, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_dp_repeats_the_per_step_dp_bit_for_bit(data):
+    # step lengths with gaps ({1, 3}, {2, 3}, ...) leave lags dead and slabs
+    # empty; a small block budget splits a slab's sum over several blocks
+    d = data.draw(st.sampled_from((2, 3)))
+    lengths = sorted(data.draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)))
+    support = [
+        FrameSplit(t, y) for t in lengths for y in itertools.product(range(-2, 3), repeat=d - 1)
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(support), min_size=1, max_size=8, unique=True))
+    raw = data.draw(
+        st.lists(st.floats(1e-3, 1.0), min_size=len(chosen), max_size=len(chosen))
+    )
+    law = make_law({s: w / sum(raw) for s, w in zip(chosen, raw)}, d=d)
+    reach = max(abs(c) for s in chosen for c in s.y)
+    radius = data.draw(st.integers(max(reach, 1), 6))
+    n = data.draw(st.integers(1, 12))
+    cells = data.draw(st.sampled_from((1, 40, sampler.BLOCK_CELLS)))
+    with mock.patch.object(sampler, "BLOCK_CELLS", cells):
+        table = sampler.dp_partition(law, n, radius)
+    mantissa, log_scale = per_step_slabs(*sampler.law_arrays(law), n, radius, reach)
+    assert table.mantissa.tobytes() == mantissa.tobytes()
+    assert table.log_scale.tobytes() == log_scale.tobytes()
+
+
+def test_partition_dp_holds_no_steps_by_box_temporary():
+    # at d = 4, L = 5 the law has 129 steps and the wide box 39^3 cells, so
+    # one (steps x box) temporary would be about 61 MB; the DP may hold its
+    # two padded tables and one block of BLOCK_CELLS cells
+    law = calibrated_law(4, 5)
+    reach = max(abs(c) for s in law.probs for c in s.y)
+    lag = max(s.t for s in law.probs)
+    tracemalloc.start()
+    try:
+        table = sampler.dp_partition(law, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    wide = table.radius + max(2 * reach, (table.radius + 1) // 2)
+    wide_cells = (lag + 7) * (2 * (wide + reach) + 1) ** 3
+    assert peak < table.padded.nbytes + 8 * (wide_cells + sampler.BLOCK_CELLS)
+
+
 # ---------------------------------------------------------------------------
 # box sizing and leakage
 
@@ -161,6 +217,12 @@ def test_partition_table_golden_digest(d, cutoff, n, digest):
 def test_box_smaller_than_reach_raises(step_law_l13):
     with pytest.raises(BoxTooSmallError):
         sampler.dp_partition(step_law_l13, 10, radius=5)
+
+
+def test_box_of_one_site_raises(degenerate_law):
+    # the configuration refuses a radius below 1 too
+    with pytest.raises(BoxTooSmallError):
+        sampler.dp_partition(degenerate_law, 4, radius=0)
 
 
 def test_tight_box_leaks_and_default_box_does_not():
@@ -290,11 +352,11 @@ def test_emptied_slab_raises_inside_the_sampling_loop():
     # is the double leg die in the second round, the others in the third.
     law = make_law({FrameSplit(1, ORIGIN_1D): 0.5, FrameSplit(2, ORIGIN_1D): 0.5})
     table = sampler.dp_partition(law, 6)
-    mantissa = table.mantissa.copy()
-    log_scale = table.log_scale.copy()
-    mantissa[2:4] = 0.0
-    log_scale[2:4] = -np.inf
-    broken = dataclasses.replace(table, mantissa=mantissa, log_scale=log_scale)
+    broken = dataclasses.replace(
+        table, padded=table.padded.copy(), log_scale=table.log_scale.copy()
+    )
+    broken.mantissa[2:4] = 0.0
+    broken.log_scale[2:4] = -np.inf
     assert broken.value(6, ORIGIN_1D) > 0.0
 
     # the first draw only reads slabs 4 and 5, which the intact table shares
