@@ -50,7 +50,7 @@ def main() -> int:
         n_max,
     )
     print(f"d={args.d} L={args.L} beta={args.beta}")
-    print("slab decay rates (-log weight / n)")
+    print("slab decay rates (log weight / n)")
     print(f"{'n':>3} {'bridge':>12} {'irreducible':>12}")
     for n, b, i in zip(gap.n, gap.bridge_rate, gap.irreducible_rate):
         print(f"{n:>3} {b:>12.6f} {i:>12.6f}")

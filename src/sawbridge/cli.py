@@ -175,9 +175,11 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
     if not path.exists():
         raise ConfigError(f"missing step law {path}; run calibrate first")
     report = read_json_report(path)
-    require_provenance(path, report["config"], provenance(config, *LAW_FIELDS))
-    law = renewal.step_law_from_json(json.dumps(report["law"]))
-    return law, report["digest"]
+    try:
+        require_provenance(path, report["config"], provenance(config, *LAW_FIELDS))
+        return renewal.step_law_from_json(json.dumps(report["law"])), report["digest"]
+    except KeyError as err:
+        raise ConfigError(f"{path}: step-law report has no {err} field") from None
 
 
 def cmd_sample(config: ExperimentConfig) -> None:

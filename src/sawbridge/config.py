@@ -70,6 +70,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("at least one span is required")
     if any(n < 1 for n in config.spans):
         raise ConfigError(f"spans must be positive, got {config.spans}")
+    if len(set(config.spans)) != len(config.spans):
+        raise ConfigError(f"spans must not repeat, got {config.spans}")
     if config.replicas < 1:
         raise ConfigError(f"replicas must be positive, got {config.replicas}")
     if config.threads < 1:

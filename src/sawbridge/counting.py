@@ -30,12 +30,14 @@ sends e1 to the first step, e2 to the first turn and the other axes to
 the remaining axes in order with sign +1; each such orbit map carries the
 canonical walks one-to-one onto the walks with that step and turn.
 Bridges depend only on e1 levels, so they use the 2(d-1) maps that fix
-e1.  Each class's table is rebuilt from its half of the canonical rows by
-mapping each endpoint row once per map.
+e1.
 
-Sites are encoded as single integers (mixed-radix over the reachable box)
-so the visited set and endpoint keys are plain ints; decoding happens once
-per table, after the search.
+Every table passes through one dense int64 grid over the box |x_i| <= L
+and the lengths 0..L (L the cutoff).  The search keeps a site as one int,
+its mixed-radix code over that box with axis 0 least significant, which is
+its flat index in the grid.  A class's grid is its half of the canonical
+rows plus one np.flip and transpose per orbit map; the deconvolution runs
+on the same grid, and `counts` holds its nonzero rows, endpoint-sorted.
 
 Parallel enumeration splits the canonical subtrees at a fixed prefix depth
 (a subtree rooted deeper is one task as a whole) and merges per-subtree
@@ -108,9 +110,6 @@ class CountTable:
     walk_class: WalkClass
     counts: dict[Site, np.ndarray]
 
-    def endpoints(self) -> list[Site]:
-        return sorted(self.counts)
-
 
 def check_dimension(d: int) -> None:
     if d not in SUPPORTED_DIMENSIONS:
@@ -142,15 +141,6 @@ def _axis_offsets(d: int, cutoff: int) -> list[int]:
         w = base**axis
         offs.extend((w, -w))
     return offs
-
-
-def _decode(code: int, d: int, cutoff: int) -> Site:
-    base = 2 * cutoff + 1
-    out = []
-    for _ in range(d):
-        code, rem = divmod(code, base)
-        out.append(rem - cutoff)
-    return tuple(out)
 
 
 def _explore(
@@ -225,12 +215,26 @@ def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None
                 old[i] += c
 
 
-def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[tuple[int, int], ...]]:
-    """Signed axis maps carrying the canonical walks onto the whole class.
+def _grid_counts(grid: np.ndarray) -> dict[Site, np.ndarray]:
+    """The read-only rows of a count grid's nonzero endpoints.
 
-    Map m sends axis i to axis m[i][0] with sign m[i][1]: e1 to a first
-    step, e2 to a first turn, the other axes to the remaining axes in
-    order with sign +1.  Bridges always step +e1 first.
+    The grid's C order over sites is the endpoint sort order, so the dict
+    comes out sorted.
+    """
+    cutoff = grid.shape[-1] - 1
+    nonzero = grid.any(axis=-1)
+    rows = grid[nonzero]
+    rows.flags.writeable = False
+    sites = (np.argwhere(nonzero) - cutoff).tolist()
+    return dict(zip(map(tuple, sites), rows))
+
+
+def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[list[int], list[int]]]:
+    """Grid maps carrying the canonical walks onto the whole class.
+
+    Map (flips, axes) takes a count grid g to np.flip(g, flips).transpose(axes):
+    e1 to a first step, e2 to a first turn, the other axes to the remaining
+    axes in order with sign +1.  Bridges always step +e1 first.
     """
     if walk_class is WalkClass.ALL:
         first_steps = [(a, s) for a in range(d) for s in (1, -1)]
@@ -241,9 +245,12 @@ def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[tuple[int, int], ..
         for a2 in range(d):
             if a2 == a1:
                 continue
-            rest = tuple((a, 1) for a in range(d) if a not in (a1, a2))
+            # canonical axis i goes to axis dest[i]
+            dest = [a1, a2, *(a for a in range(d) if a not in (a1, a2))]
+            axes = [*map(dest.index, range(d)), d]
             for s2 in (1, -1):
-                maps.append(((a1, s1), (a2, s2)) + rest)
+                flips = [i for i, sign in enumerate((s1, s2)) if sign < 0]
+                maps.append((flips, axes))
     return maps
 
 
@@ -252,42 +259,30 @@ def _rebuild_table(
 ) -> dict[Site, np.ndarray]:
     """Endpoint-sorted table of the class from its canonical-walk counts.
 
-    Each canonical row's half for the class (ALL first, BRIDGE second) is
-    added once per orbit map, unless it is all zero; the straight walks,
+    The canonical rows' half for the class (ALL first, BRIDGE second) fills
+    a grid that each orbit map carries onto its walks; the straight walks,
     which have no first turn, are added once each.
     """
-    counts: dict[Site, np.ndarray] = {}
+    width = cutoff + 1
+    lo = 0 if walk_class is WalkClass.ALL else width
+    base = 2 * cutoff + 1
+    flat = np.zeros((base**d, width), dtype=np.int64)
+    for code, row in canonical.items():
+        flat[code] = row[lo : lo + width]
+    # a code has axis 0 least significant, so the C-order reshape reverses
+    # the site axes
+    half = flat.reshape((base,) * d + (width,)).transpose(*range(d - 1, -1, -1), d)
+    grid = np.zeros_like(half)
+    for flips, axes in _orbit_maps(d, walk_class):
+        grid += np.flip(half, flips).transpose(axes)
 
-    def row(site: Site) -> np.ndarray:
-        acc = counts.get(site)
-        if acc is None:
-            acc = counts[site] = np.zeros(cutoff + 1, dtype=np.int64)
-        return acc
-
-    lo = 0 if walk_class is WalkClass.ALL else cutoff + 1
-    maps = _orbit_maps(d, walk_class)
-    image = [0] * d
-    for code, canonical_row in canonical.items():
-        arr = np.array(canonical_row[lo : lo + cutoff + 1], dtype=np.int64)
-        if not arr.any():
-            continue
-        site = _decode(code, d, cutoff)
-        for m in maps:
-            for x, (axis, sign) in zip(site, m):
-                image[axis] = sign * x
-            acc = row(tuple(image))
-            acc += arr
-
-    row(origin(d))[0] += 1
+    grid[(cutoff,) * d + (0,)] += 1
     # +e1 is the only direction whose straight walks are bridges
     steps = unit_steps(d) if walk_class is WalkClass.ALL else unit_steps(d)[:1]
+    lengths = np.arange(1, width)
     for step in steps:
-        for k in range(1, cutoff + 1):
-            row(tuple(k * c for c in step))[k] += 1
-
-    for arr in counts.values():
-        arr.flags.writeable = False
-    return dict(sorted(counts.items()))
+        grid[(*(cutoff + np.outer(lengths, step)).T, lengths)] += 1
+    return _grid_counts(grid)
 
 
 @lru_cache(maxsize=1)
@@ -362,50 +357,37 @@ def irreducible_counts(bridge: CountTable) -> CountTable:
     B_h = I_h + sum_{0<a<h} I_a * B_{h-a}, where * convolves in the
     transverse endpoint and in length.  Solving for I_h level by level is
     exact in int64: every partial sum counts distinct bridges of height h.
-    Level h is a dense array over the transverse box |y_i| <= cutoff - h
-    (room for any bridge of height h) and the step numbers.  Each product
-    loops over the nonzero entries of its sparser factor and slice-adds
-    the other factor, shifted by the entry and clipped to both boxes.
+    Level h is row cutoff + h of the count grid.  Each product loops over
+    the nonzero entries of its sparser factor and slice-adds the other
+    factor, shifted by the entry and clipped to the grid's box; a walk of
+    at most cutoff steps never leaves it.
     """
     if bridge.walk_class is not WalkClass.BRIDGE:
         raise ValueError("irreducible_counts requires a BRIDGE-class table")
     d, cutoff = bridge.d, bridge.cutoff
-    levels = [
-        np.zeros((2 * (cutoff - h) + 1,) * (d - 1) + (cutoff + 1,), dtype=np.int64)
-        for h in range(cutoff + 1)
-    ]
-    for (h, *y), row in bridge.counts.items():
-        levels[h][tuple(c + cutoff - h for c in y)] = row
-    irreducible = [levels[0]]
-    for h in range(1, cutoff + 1):
-        acc = levels[h].copy()
+    base = 2 * cutoff + 1
+    bridges = np.zeros((base,) * d + (cutoff + 1,), dtype=np.int64)
+    for site, row in bridge.counts.items():
+        bridges[tuple(c + cutoff for c in site)] = row
+    irreducible = bridges.copy()
+    for h in range(2, cutoff + 1):
+        acc = irreducible[cutoff + h]
         for a in range(1, h):
-            sparse, dense = irreducible[a], levels[h - a]
+            sparse, dense = irreducible[cutoff + a], bridges[cutoff + h - a]
             if np.count_nonzero(sparse) > np.count_nonzero(dense):
                 sparse, dense = dense, sparse
             # entry (i, n) of one factor meets entry (g, m) of the other at
-            # acc index g - (cutoff - i) per transverse axis and length n + m;
-            # the other's height is cutoff - reach, so only n <= reach counts
-            reach = dense.shape[0] // 2
-            for *idx, n in np.argwhere(sparse[..., : reach + 1]).tolist():
+            # acc index g + i - cutoff per transverse axis and length n + m
+            for *idx, n in np.argwhere(sparse).tolist():
                 box, src = [], []
                 for i in idx:
-                    lo = max(0, i - cutoff)
-                    hi = min(acc.shape[0], dense.shape[0] + i - cutoff)
+                    lo, hi = max(0, i - cutoff), min(base, base + i - cutoff)
                     box.append(slice(lo, hi))
                     src.append(slice(lo + cutoff - i, hi + cutoff - i))
                 acc[(*box, slice(n, None))] -= (
                     sparse[(*idx, n)] * dense[(*src, slice(0, cutoff + 1 - n))]
                 )
-        irreducible.append(acc)
-
-    counts: dict[Site, np.ndarray] = {}
-    for h, level in enumerate(irreducible):
-        nonzero = level.any(axis=-1)
-        rows = level[nonzero]
-        rows.flags.writeable = False
-        for y, row in zip(np.argwhere(nonzero).tolist(), rows):
-            counts[(h, *(c - (cutoff - h) for c in y))] = row
+    counts = _grid_counts(irreducible)
     return CountTable(
         d=d, cutoff=cutoff, walk_class=WalkClass.IRREDUCIBLE_BRIDGE, counts=counts
     )
@@ -426,8 +408,8 @@ def total_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
     if table.walk_class is not WalkClass.ALL:
         raise ValueError("total_counts requires an ALL-class table")
     totals = np.zeros(table.cutoff + 1, dtype=np.int64)
-    for site in table.endpoints():
-        totals += table.counts[site]
+    for row in table.counts.values():
+        totals += row
     ns = np.arange(1, table.cutoff + 1, dtype=np.float64)
     growth = totals[1:].astype(np.float64) ** (1.0 / ns) if table.cutoff else np.zeros(0)
     return totals, growth
@@ -591,6 +573,14 @@ _MAGIC = b"SAWCOUNT"
 _FORMAT_VERSION = 1
 _CLASS_CODES = {WalkClass.ALL: 0, WalkClass.BRIDGE: 1, WalkClass.IRREDUCIBLE_BRIDGE: 2}
 _CODE_CLASSES = {v: k for k, v in _CLASS_CODES.items()}
+# magic, version, d, cutoff, class code, config blob length
+_HEADER = struct.Struct("<8sIIIBI")
+_COUNT = struct.Struct("<Q")
+
+
+def _record_dtype(d: int, cutoff: int) -> np.dtype:
+    """One endpoint record: coordinates, then the count row (no padding)."""
+    return np.dtype([("site", "<i4", (d,)), ("row", "<i8", (cutoff + 1,))])
 
 
 def save_count_table(table: CountTable, path: str | Path, config: dict | None = None) -> None:
@@ -601,60 +591,58 @@ def save_count_table(table: CountTable, path: str | Path, config: dict | None = 
     records, followed by a SHA-256 digest of everything before it.
     """
     meta = json.dumps(config or {}, sort_keys=True, separators=(",", ":")).encode()
-    parts = [
+    records = np.array(
+        sorted(table.counts.items()), dtype=_record_dtype(table.d, table.cutoff)
+    )
+    header = _HEADER.pack(
         _MAGIC,
-        struct.pack(
-            "<IIIB",
-            _FORMAT_VERSION,
-            table.d,
-            table.cutoff,
-            _CLASS_CODES[table.walk_class],
-        ),
-        struct.pack("<I", len(meta)),
-        meta,
-        struct.pack("<Q", len(table.counts)),
-    ]
-    for site in table.endpoints():
-        parts.append(struct.pack(f"<{table.d}i", *site))
-        parts.append(table.counts[site].astype("<i8").tobytes())
-    body = b"".join(parts)
+        _FORMAT_VERSION,
+        table.d,
+        table.cutoff,
+        _CLASS_CODES[table.walk_class],
+        len(meta),
+    )
+    body = header + meta + _COUNT.pack(len(records)) + records.tobytes()
     write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_count_table(path: str | Path) -> CountTable:
-    """Read a binary count cache, verifying magic, version, and digest."""
+    """Read a binary count cache, verifying digest, header, lengths, and
+    that no endpoint repeats."""
     blob = Path(path).read_bytes()
-    if len(blob) < len(_MAGIC) + 13 + 4 + 8 + 32:
+    if len(blob) < _HEADER.size + _COUNT.size + 32:
         raise CacheFormatError(f"{path}: truncated count cache")
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CacheFormatError(f"{path}: integrity digest mismatch")
-    if body[: len(_MAGIC)] != _MAGIC:
+    magic, version, d, cutoff, class_code, meta_len = _HEADER.unpack_from(body)
+    if magic != _MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
-    off = len(_MAGIC)
-    version, d, cutoff, class_code = struct.unpack_from("<IIIB", body, off)
-    off += 13
     if version != _FORMAT_VERSION:
         raise CacheFormatError(f"{path}: unsupported version {version}")
+    if d not in SUPPORTED_DIMENSIONS:
+        raise CacheFormatError(f"{path}: unsupported dimension {d}")
     if class_code not in _CODE_CLASSES:
         raise CacheFormatError(f"{path}: unknown class code {class_code}")
-    (meta_len,) = struct.unpack_from("<I", body, off)
-    off += 4 + meta_len  # config blob is advisory; counts are authoritative
-    (n_endpoints,) = struct.unpack_from("<Q", body, off)
-    off += 8
-    counts: dict[Site, np.ndarray] = {}
-    row_bytes = 8 * (cutoff + 1)
-    for _ in range(n_endpoints):
-        site = struct.unpack_from(f"<{d}i", body, off)
-        off += 4 * d
-        arr = np.frombuffer(body, dtype="<i8", count=cutoff + 1, offset=off).astype(
-            np.int64
+    off = _HEADER.size + meta_len  # config blob is advisory; counts are authoritative
+    if off + _COUNT.size > len(body):
+        raise CacheFormatError(
+            f"{path}: config blob of {meta_len} bytes overruns the cache"
         )
-        arr.flags.writeable = False
-        off += row_bytes
-        counts[site] = arr
-    if off != len(body):
-        raise CacheFormatError(f"{path}: trailing bytes in count cache")
+    (n_endpoints,) = _COUNT.unpack_from(body, off)
+    off += _COUNT.size
+    record = 4 * d + 8 * (cutoff + 1)  # the packed _record_dtype
+    if n_endpoints * record != len(body) - off:
+        raise CacheFormatError(
+            f"{path}: {n_endpoints} records of {record} bytes disagree "
+            f"with the {len(body) - off} bytes after the header"
+        )
+    records = np.frombuffer(body, dtype=_record_dtype(d, cutoff), offset=off)
+    rows = records["row"].astype(np.int64)
+    rows.flags.writeable = False
+    counts = dict(zip(map(tuple, records["site"].tolist()), rows))
+    if len(counts) != n_endpoints:
+        raise CacheFormatError(f"{path}: repeated endpoint in count cache")
     return CountTable(
         d=d, cutoff=cutoff, walk_class=_CODE_CLASSES[class_code], counts=counts
     )

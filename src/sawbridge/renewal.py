@@ -85,10 +85,10 @@ def forward_weights(table: CountTable, beta: float) -> dict[FrameSplit, float]:
     _require_irreducible(table)
     w = length_weights(table.cutoff, beta)
     out: dict[FrameSplit, float] = {}
-    for site in table.endpoints():
+    for site, row in table.counts.items():
         if site[0] < 1:
             continue
-        val = float(table.counts[site].astype(np.float64) @ w)
+        val = float(row.astype(np.float64) @ w)
         if val > 0.0:
             out[FrameSplit(site[0], tuple(site[1:]))] = val
     return out
@@ -156,7 +156,7 @@ def truncation_tail_mass(irr_table: CountTable, beta: float, m_hat: float) -> fl
     shell = math.exp(-beta * length)
     return math.fsum(
         int(row[length]) * shell * math.exp(-m_hat * site[0])
-        for site, row in sorted(irr_table.counts.items())
+        for site, row in irr_table.counts.items()
         if site[0] >= 1 and row[length]
     )
 
@@ -183,7 +183,7 @@ def mass_gap_diagnostic(
     def slab_sum(table: CountTable, n: int) -> float:
         return math.fsum(
             float(row.astype(np.float64) @ w)
-            for site, row in sorted(table.counts.items())
+            for site, row in table.counts.items()
             if site[0] == n
         )
 
@@ -250,10 +250,9 @@ def product_skeleton_law(
     expw = length_weights(irr_table.cutoff, beta)
 
     steps: list[tuple[FrameSplit, np.ndarray, int]] = []
-    for site in irr_table.endpoints():
+    for site, row in irr_table.counts.items():
         if not 1 <= site[0] <= n:
             continue
-        row = irr_table.counts[site]
         nz = np.flatnonzero(row)
         if nz.size:
             steps.append((FrameSplit(site[0], tuple(site[1:])), row, int(nz[0])))

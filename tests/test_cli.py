@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from sawbridge import cli, counting, renewal, sampler
-from sawbridge.reporting import read_csv_report, read_json_report, write_csv_report
+from sawbridge.reporting import (
+    canonical_json,
+    content_digest,
+    read_csv_report,
+    read_json_report,
+    write_csv_report,
+)
 
 MASS_ESTIMATE_L12 = -0.5543035797443925
 
@@ -410,6 +417,89 @@ def test_calibrate_refuses_a_cache_of_another_cutoff(pipeline_dir, tmp_path, cap
     assert run("calibrate", "--d", "2", "--L", "12", "--out", tmp_path) == 2
     assert "cutoff" in capsys.readouterr().err
     assert not (tmp_path / "step_law_d2_L12.json").exists()
+
+
+def rehashed_cache(path, edit) -> bytes:
+    """A count cache with its body edited and its digest recomputed."""
+    body = bytearray(path.read_bytes()[:-32])
+    edit(body)
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+# header: magic (8 bytes), version, d, cutoff (4 each), class code (1),
+# config length (4); then the config blob, the endpoint count (8), records
+def raise_endpoint_count(body) -> None:
+    at = 25 + int.from_bytes(body[21:25], "little")
+    count = int.from_bytes(body[at : at + 8], "little")
+    body[at : at + 8] = (count + 1).to_bytes(8, "little")
+
+
+def inflate_config_length(body) -> None:
+    body[21:25] = (10**6).to_bytes(4, "little")
+
+
+def inflate_cutoff(body) -> None:
+    body[16:20] = (10**9).to_bytes(4, "little")
+
+
+def repeat_first_endpoint(body) -> None:
+    d, cutoff = (int.from_bytes(body[i : i + 4], "little") for i in (12, 16))
+    first = 25 + int.from_bytes(body[21:25], "little") + 8
+    second = first + 4 * d + 8 * (cutoff + 1)
+    body[second : second + 4 * d] = body[first : first + 4 * d]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (raise_endpoint_count, "disagree with the"),
+        (inflate_config_length, "overruns the cache"),
+        (inflate_cutoff, "records of 8000000016 bytes disagree"),
+        (repeat_first_endpoint, "repeated endpoint"),
+    ],
+)
+def test_a_malformed_count_cache_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
+    path = tmp_path / "counts_d2_L10_irreducible.bin"
+    path.write_bytes(rehashed_cache(pipeline_dir / path.name, edit))
+    with pytest.raises(counting.CacheFormatError, match=message):
+        counting.load_count_table(path)
+    capsys.readouterr()
+    assert run("calibrate", "--d", "2", "--L", "10", "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "step_law_d2_L10.json").exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [("config",), ("law",), ("digest",), ("law", "m_hat"), ("law", "steps", 0, "p")],
+    ids=lambda keys: ".".join(map(str, keys)),
+)
+def test_a_step_law_report_without_its_law_exits_2(pipeline_dir, tmp_path, capsys, keys):
+    # a hash-valid report with one field deleted
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    *parents, field = keys
+    node = report
+    for key in parents:
+        node = node[key]
+    del node[field]
+    report["sha256"] = content_digest(canonical_json(report))
+    path.write_text(canonical_json(report), encoding="utf-8")
+    message = f"step-law report has no '{field}' field"
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}: {message}")):
+        cli.load_law(config)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "skeletons_n5.csv").exists()
+
+
+def test_repeated_spans_exit_2(tmp_path, capsys):
+    for command in ("sample", "analyze"):
+        assert run(command, "--d", "2", "--L", "10", "--n", "8,8", "--out", tmp_path) == 2
+        assert "spans must not repeat" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_flags_exit_2(capsys):

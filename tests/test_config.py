@@ -60,6 +60,7 @@ def test_to_dict_uses_plain_lists():
         {"grid": (0.5, 1.0)},
         {"grid": (0.5, 0.5)},
         {"grid": (0.6, 0.4)},
+        {"spans": (8, 8)},
     ],
 )
 def test_validate_rejects(fields):

@@ -31,6 +31,10 @@ GOLDEN_CACHE_SHA256 = {
     # first case with three transverse axes to clip
     (2, 13, WalkClass.IRREDUCIBLE_BRIDGE): "30db4d8134dab409356fa7affeb0a46546674993d63bc7728d06cca4ef194e6e",
     (4, 6, WalkClass.IRREDUCIBLE_BRIDGE): "929b02e975d0c4c935a986097015529a3d490813df6c34ed37b88a29d630e702",
+    # written by the symmetry-reduced search with a per-row orbit loop, before
+    # the count grid; d = 4 is where the transposes act on three axes at once
+    (4, 5, WalkClass.ALL): "ba9eb4ced8baf1e1c1eda992891c48f4321a059a2ab36c33a190447e8e09364b",
+    (4, 5, WalkClass.BRIDGE): "b6d8bd7aeef235dd6f93ce11eb555b5266d19293092c2bed3da07e410fdfdeaf",
 }
 
 
@@ -98,7 +102,7 @@ def test_one_step_tables():
     irr = counting.enumerate_counts(2, 1, WalkClass.IRREDUCIBLE_BRIDGE)
     assert irr.counts[(1, 0)][1] == 1
     # the single step right is the only 1-step bridge
-    assert set(irr.endpoints()) == {(0, 0), (1, 0)}
+    assert set(irr.counts) == {(0, 0), (1, 0)}
     assert irr.counts[(0, 0)][0] == 1
 
 
@@ -107,7 +111,7 @@ def test_cutoff_zero_table():
     totals, growth = counting.total_counts(table)
     assert list(totals) == [1]
     assert growth.size == 0
-    assert table.endpoints() == [(0, 0)]
+    assert list(table.counts) == [(0, 0)]
 
 
 def test_evaluate_weight_examples():
@@ -256,8 +260,7 @@ def _signed_permutations(y: tuple[int, ...]) -> set[tuple[int, ...]]:
 )
 def test_transverse_symmetry(d, cutoff, walk_class):
     table = counting.enumerate_counts(d, cutoff, walk_class)
-    for site in table.endpoints():
-        counts = table.counts[site]
+    for site, counts in table.counts.items():
         for image in _signed_permutations(site[1:]):
             assert np.array_equal(counts, count_row(table, (site[0],) + image))
 
@@ -277,8 +280,8 @@ def test_parallel_enumeration_matches_serial(
     monkeypatch.setattr(counting, "SPLIT_DEPTH", split_depth)
     counting._canonical_counts.cache_clear()
     parallel = counting.enumerate_counts(d, cutoff, walk_class, threads=3)
-    assert serial.endpoints() == parallel.endpoints()
-    for site in serial.endpoints():
+    assert list(serial.counts) == list(parallel.counts)
+    for site in serial.counts:
         assert np.array_equal(serial.counts[site], parallel.counts[site])
 
 
@@ -311,8 +314,8 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.d == table.d
     assert loaded.cutoff == table.cutoff
     assert loaded.walk_class is table.walk_class
-    assert loaded.endpoints() == table.endpoints()
-    for site in table.endpoints():
+    assert list(loaded.counts) == list(table.counts)
+    for site in table.counts:
         assert np.array_equal(loaded.counts[site], table.counts[site])
 
     blob = bytearray(path.read_bytes())

@@ -37,6 +37,13 @@ def test_script_exits_cleanly(name, args):
     assert result.returncode == 0, result.stderr
 
 
+def test_decay_rate_header_names_the_printed_values():
+    lines = run_script("decay_diagnostics.py", "--L", "8").stdout.splitlines()
+    assert lines[1] == "slab decay rates (log weight / n)"
+    # the first row is n = 1, where log(weight) / n is below zero
+    assert lines[3].split()[0] == "1" and float(lines[3].split()[1]) < 0
+
+
 def test_campaign_script_runs_every_stage(tmp_path):
     result = run_script(
         "run_campaign.py", "--L", "9", "--n", "5,6", "--replicas", "200",

@@ -11,7 +11,9 @@ import inspect
 import re
 from pathlib import Path
 
-from sawbridge import counting, renewal, sampler
+import pytest
+
+from sawbridge import cli, counting, renewal, sampler
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -28,6 +30,55 @@ def test_every_patched_attribute_resolves():
     for module_name, attr, _, _ in tracer.PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """A tracer wrapping every patched attribute, as a traced stage does;
+    the originals come back when the test ends."""
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer("stage", "run")
+    for module_name, attr, tag, count in tracer_module.PATCHES:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+        tracer.wrap(module, attr, tag, count)
+    return tracer
+
+
+def test_counter_hooks_read_real_results(traced, tmp_path):
+    # each counter hook runs on the result of the call it wraps
+    table = counting.enumerate_counts(2, 7, counting.WalkClass.ALL)
+    # OEIS A001411: walks of 0..7 steps on Z^2
+    assert traced.counters["counting.walks_counted"] == 3389
+    path = tmp_path / "all.bin"
+    counting.save_count_table(table, path)
+    assert traced.counters["counting.cache_bytes"] == path.stat().st_size > 0
+
+    irr = counting.enumerate_counts(2, 7, counting.WalkClass.IRREDUCIBLE_BRIDGE)
+    law = renewal.build_step_law(irr, 1.2, renewal.calibrate_mass(irr, 1.2))
+    assert traced.maxima["renewal.law_support"] == len(law.probs) > 0
+    renewal.step_law_from_json(renewal.step_law_to_json(law))
+    assert traced.maxima["renewal.law_support"] == len(law.probs)
+    exact = counting.exact_conditioned_skeleton_law(2, 4, 1.2, 8)
+    assert traced.counters["counting.exact_law_support"] == len(exact) > 1
+
+    partition = sampler.dp_partition(law, 6)
+    assert traced.maxima["sampler.dp_radius"] == partition.radius
+    assert traced.counters["sampler.dp_cell_updates"] % (6 * len(law.probs)) == 0
+    batch = sampler.sample_skeletons(law, partition, seed=0, replicates=range(40))
+    assert traced.counters["sampler.replicate_steps"] == len(batch.steps)
+    assert traced.maxima["sampler.rounds_max"] == max(
+        len(skeleton.increments) for skeleton in batch
+    )
+    assert traced.counters["rng.streams"] == 40
+    assert traced.counters["rng.draws"] == 40 * 6
+
+    csv_path = tmp_path / "rows.csv"
+    cli.write_csv_report(csv_path, ["a", "b"], [[1, 2], [3, 4], [5, 6]], {"seed": 0})
+    assert traced.counters["reporting.rows_written"] == 3
+    assert traced.counters["reporting.bytes_written"] == csv_path.stat().st_size
+    cli.read_csv_report(csv_path)
+    assert traced.counters["reporting.rows_read"] == 3
 
 
 def test_unique_states_reads_a_sampled_batch():
