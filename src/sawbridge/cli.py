@@ -143,6 +143,8 @@ def cmd_calibrate(config: ExperimentConfig) -> None:
 
 def require_provenance(path: Path, stamp: dict, expected: dict) -> None:
     """Refuse an input file whose stamp disagrees with the resolved config."""
+    if not isinstance(stamp, dict):
+        raise ConfigError(f"{path}: stamp is not a JSON object")
     for name, value in expected.items():
         if stamp.get(name) != value:
             raise ConfigError(
@@ -180,6 +182,8 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
         return renewal.step_law_from_json(json.dumps(report["law"])), report["digest"]
     except KeyError as err:
         raise ConfigError(f"{path}: step-law report has no {err} field") from None
+    except TypeError as err:
+        raise ConfigError(f"{path}: malformed step-law report: {err}") from None
 
 
 def cmd_sample(config: ExperimentConfig) -> None:
@@ -247,9 +251,11 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
     rows = []
     for n, cutoff in SHRINK_SPANS:
         walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
-        weights = np.exp(-beta * np.array([len(p) - 1 for p in walks.paths]))
+        steps = np.concatenate([np.full(len(w), w.shape[1] - 1) for w in walks.walks])
+        # weights and values in depth-first order, the order of their sums
+        weights = np.exp(-beta * steps[walks.order])
         weights /= weights.sum()
-        values = stats.shrinking_statistic(walks.paths, n)
+        values = stats.shrinking_statistic(walks.walks, n)[walks.order]
         rows.append(
             {"n": n, "mean": float(weights @ values), "max": float(values.max())}
         )

@@ -51,7 +51,6 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -60,14 +59,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import (
-    FrameSplit,
-    Site,
-    origin,
-    require_walk,
-    site_add,
-    unit_steps,
-)
+from .lattice import FrameSplit, Site, require_walk, unit_steps
 from .reporting import write_atomic
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
@@ -77,6 +69,8 @@ _GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
 
 NODE_BUDGET = 5e10
 SPLIT_DEPTH = 6
+# partial walks the bridge search extends at once (a whole d = 2 level)
+FRONTIER_BLOCK = 2**13
 
 
 class WalkClass(Enum):
@@ -313,6 +307,7 @@ def _canonical_counts(d: int, cutoff: int, threads: int) -> dict[int, list[int]]
             continue
         _merge_counts(canonical, _explore(d, cutoff, root, stop, prefixes))
     if prefixes:
+        from concurrent.futures import ProcessPoolExecutor
         tasks = [(d, cutoff, p) for p in prefixes]
         chunk = max(1, len(tasks) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -376,9 +371,13 @@ def irreducible_counts(bridge: CountTable) -> CountTable:
             sparse, dense = irreducible[cutoff + a], bridges[cutoff + h - a]
             if np.count_nonzero(sparse) > np.count_nonzero(dense):
                 sparse, dense = dense, sparse
+            lengths = np.flatnonzero(dense.any(axis=tuple(range(d - 1))))
+            if not lengths.size:
+                continue
             # entry (i, n) of one factor meets entry (g, m) of the other at
-            # acc index g + i - cutoff per transverse axis and length n + m
-            for *idx, n in np.argwhere(sparse).tolist():
+            # acc index g + i - cutoff per transverse axis and length n + m,
+            # so n beyond cutoff minus the other's shortest length meets none
+            for *idx, n in np.argwhere(sparse[..., : cutoff + 1 - lengths[0]]).tolist():
                 box, src = [], []
                 for i in idx:
                     lo, hi = max(0, i - cutoff), min(base, base + i - cutoff)
@@ -444,102 +443,109 @@ def mass_estimate(
     return seq, float(seq[-1])
 
 
-@dataclass(frozen=True)
-class BridgeAnatomy:
-    """Bridge verdict for a walk, with its break points and the last visit
-    to each break level (the regeneration sites)."""
+def regeneration_knots(walks: np.ndarray) -> np.ndarray:
+    """Knot mask of a stack of same-length walks, (w, m, d) sites to (w, m).
 
-    is_bridge: bool
-    break_points: tuple[int, ...]
-    regeneration_sites: tuple[Site, ...]
-
-
-def classify_bridge(path: Sequence[Site]) -> BridgeAnatomy:
-    """Classify a walk as a bridge and locate its regeneration structure.
-
-    Level k strictly between the endpoint levels is a break point iff the
-    walk never steps down across the k/k+1 boundary; the regeneration site
-    for k is the walk's last visit to level k.
+    A walk is a bridge iff every site after the first lies above the first
+    level and at or below the last.  Level k strictly between them is a
+    break point iff no step crosses down from k + 1 to k; the bridge then
+    crosses up from k once, from its last visit to k, the regeneration
+    site.  A bridge's row marks its first site, its regeneration sites (in
+    level order, which is walk order) and its last site; any other row
+    marks nothing.
     """
-    require_walk(path)
-    levels = [s[0] for s in path]
-    first, last = levels[0], levels[-1]
-    if any(not first < lvl <= last for lvl in levels[1:]):
-        return BridgeAnatomy(False, (), ())
-    crossed_down: set[int] = set()
-    last_at: dict[int, int] = {}
-    for i, lvl in enumerate(levels):
-        last_at[lvl] = i
-        if i and lvl < levels[i - 1]:
-            crossed_down.add(lvl)
-    breaks = tuple(k for k in range(first + 1, last) if k not in crossed_down)
-    sites = tuple(path[last_at[k]] for k in breaks)
-    return BridgeAnatomy(True, breaks, sites)
+    levels = walks[:, :, 0] - walks[:, :1, 0]
+    bridge = ((levels[:, 1:] > 0) & (levels[:, 1:] <= levels[:, -1:])).all(axis=1)
+    levels = np.where(bridge[:, None], levels, 0)
+    rows = np.arange(len(walks))[:, None]
+    down = levels[:, 1:] < levels[:, :-1]
+    crossed = np.zeros((len(walks), levels.max(initial=0) + 1), dtype=bool)
+    crossed[np.broadcast_to(rows, down.shape)[down], levels[:, 1:][down]] = True
+    knots = np.ones(levels.shape, dtype=bool)
+    inner = levels[:, 1:-1]
+    knots[:, 1:-1] = (levels[:, 2:] > inner) & ~crossed[rows, inner]
+    return knots & bridge[:, None]
+
+
+def knot_stacks(walks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The regeneration knots of same-length bridges, one stack per knot
+    count: (rows, knots) with knots (len(rows), count, d) sites."""
+    mask = regeneration_knots(walks)
+    counts = mask.sum(axis=1)
+    if not counts.all():
+        raise ValueError("skeleton is defined only for bridges")
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        yield rows, walks[rows][mask[rows]].reshape(len(rows), count, -1)
 
 
 def bridge_skeleton(path: Sequence[Site]) -> tuple[FrameSplit, ...]:
-    """Increment sequence between consecutive regeneration sites of a bridge.
-
-    Includes the legs from the start to the first regeneration site and
-    from the last one to the endpoint; a single-site walk has an empty
-    skeleton.
+    """Increment sequence between consecutive knots of a bridge (see
+    `regeneration_knots`): the legs from the start to the first
+    regeneration site, between them, and from the last one to the
+    endpoint.  A single-site walk has an empty skeleton.
     """
-    anatomy = classify_bridge(path)
-    if not anatomy.is_bridge:
-        raise ValueError("skeleton is defined only for bridges")
-    if len(path) == 1:
-        return ()
-    marks = (path[0],) + anatomy.regeneration_sites + (path[-1],)
-    return tuple(
-        FrameSplit(b[0] - a[0], tuple(q - p for p, q in zip(a[1:], b[1:])))
-        for a, b in zip(marks, marks[1:])
-    )
+    require_walk(path)
+    [(_, knots)] = knot_stacks(np.array([path]))
+    increments = np.diff(knots[0], axis=0).tolist()
+    return tuple(FrameSplit(t, tuple(y)) for t, *y in increments)
 
 
-def iter_bridges_to_axis_point(
+def bridges_to_axis_point(
     d: int, n: int, max_steps: int
-) -> Iterator[tuple[Site, ...]]:
-    """Yield every bridge from the origin to (n, 0̃) with <= max_steps steps.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every bridge from the origin to (n, 0̃) with <= max_steps steps.
 
-    The search stays inside the slab 1 <= x_1 <= n (any bridge to the
-    target does) and prunes branches whose lattice distance to the target
-    exceeds the remaining step budget, so it is practical for small n
-    even at generous step cutoffs.
+    Returns them grouped by length, shortest first, as (walks, steps + 1,
+    d) site arrays, and the permutation of their concatenation into
+    depth-first order over `unit_steps`.  Partial walks of one depth are
+    extended as one array (or FRONTIER_BLOCK-walk blocks, depth first),
+    parent-major and step-minor.  A site is kept inside the slab
+    1 <= x_1 <= n (as every bridge to the target is), off the walk, and
+    within reach of the target.  A walk stops at the target, so no bridge
+    is a prefix of another: one lexsort of the step codes gives the order.
     """
     check_dimension(d)
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
-    target = (n,) + (0,) * (d - 1)
-    steps = unit_steps(d)
-    path: list[Site] = [origin(d)]
-    visited = {path[0]}
-
-    def rec() -> Iterator[tuple[Site, ...]]:
-        cur = path[-1]
-        if cur == target:
-            # No bridge revisits its endpoint, so recursion stops here.
-            yield tuple(path)
-            return
-        remaining = max_steps - (len(path) - 1)
-        if remaining == 0:
-            return
-        for st in steps:
-            nxt = site_add(cur, st)
-            x0 = nxt[0]
-            if x0 < 1 or x0 > n or nxt in visited:
-                continue
-            # Lattice parity forces completions of length dist + 2j, so a
-            # completion within budget exists iff dist <= remaining - 1.
-            dist = (n - x0) + sum(abs(c) for c in nxt[1:])
-            if dist > remaining - 1:
-                continue
-            visited.add(nxt)
-            path.append(nxt)
-            yield from rec()
-            path.pop()
-            visited.remove(nxt)
-
-    yield from rec()
+    # a walk to (n, 0̃) has n + 2j steps: a last step of the other parity is unusable
+    max_steps -= (max_steps - n) % 2
+    dtype = np.int8 if max(n, max_steps) < 127 else np.int64  # every coordinate fits
+    steps = np.array(unit_steps(d), dtype=dtype)
+    target = np.array((n,) + (0,) * (d - 1), dtype=dtype)
+    found: list[list[np.ndarray]] = [[] for _ in range(max(max_steps, 0) + 2)]
+    blocks = [np.zeros((1, 1, d), dtype=dtype)]
+    while blocks:
+        walks = blocks.pop()
+        depth = walks.shape[1]
+        parent = np.repeat(np.arange(len(walks)), 2 * d)
+        sites = (walks[:, -1, None] + steps).reshape(-1, d)
+        x0 = sites[:, 0]
+        reach = (n - x0) + np.abs(sites[:, 1:]).sum(axis=1)
+        keep = (x0 >= 1) & (x0 <= n) & (reach <= max_steps - depth)
+        parent, sites = parent[keep], sites[keep]
+        # a site recurs only an even number of steps back (bipartite lattice)
+        seen = (walks[parent, depth % 2 :: 2] == sites[:, None]).all(axis=2).any(axis=1)
+        walks = np.concatenate((walks[parent[~seen]], sites[~seen, None]), axis=1)
+        done = (walks[:, -1] == target).all(axis=1)
+        found[depth].append(walks[done])
+        walks = walks[~done]
+        # depth first over blocks, so few blocks are held at once
+        starts = reversed(range(0, len(walks), FRONTIER_BLOCK))
+        blocks += [walks[i : i + FRONTIER_BLOCK] for i in starts]
+    found = [np.concatenate(part) for part in found if sum(map(len, part))]
+    if not found:
+        return [], np.zeros(0, dtype=np.intp)
+    # a unit step's base-3 digits (-1, 0 or 1 per axis) index its code
+    digits = 3 ** np.arange(d, dtype=np.int8)
+    code_of = np.zeros(3**d, dtype=np.int8)
+    code_of[steps @ digits] = np.arange(2 * d)
+    codes = np.zeros((sum(map(len, found)), found[-1].shape[1] - 1), dtype=np.int8)
+    at = np.cumsum([0] + [len(group) for group in found])
+    for start, group in zip(at.tolist(), found):
+        moves = np.diff(group, axis=1) @ digits
+        codes[start : start + len(group), : moves.shape[1]] = code_of[moves]
+    return found, np.lexsort(codes.T[::-1])
 
 
 def exact_conditioned_skeleton_law(
@@ -549,19 +555,36 @@ def exact_conditioned_skeleton_law(
 
     Enumerates every bridge to (n, 0̃) with at most `cutoff` steps, weights
     it by e^{-beta * steps}, aggregates the weight by regeneration skeleton
-    and normalizes.  This is the exhaustive reference law the renewal
-    sampler is tested against.
+    in depth-first order and normalizes.  This is the exhaustive reference
+    law the renewal sampler is tested against.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    weights: dict[tuple[FrameSplit, ...], float] = {}
-    for path in iter_bridges_to_axis_point(d, n, cutoff):
-        sk = bridge_skeleton(path)
-        weights[sk] = weights.get(sk, 0.0) + math.exp(-beta * (len(path) - 1))
-    if not weights:
+    groups, order = bridges_to_axis_point(d, n, cutoff)
+    if not groups:
         raise NoBridgesError(
             f"no bridge reaches ({n}, 0) within {cutoff} steps; need cutoff >= {n}"
         )
+    weight = [math.exp(-beta * steps) for steps in range(cutoff + 1)]
+    built: dict[bytes, tuple[FrameSplit, ...]] = {}
+    skeletons, lengths = [], []
+    for walks in groups:
+        keys = [()] * len(walks)
+        for rows, knots in knot_stacks(walks):
+            for row, increments in zip(rows.tolist(), np.diff(knots, axis=1)):
+                raw = increments.tobytes()
+                if raw not in built:
+                    built[raw] = tuple(
+                        FrameSplit(t, tuple(y)) for t, *y in increments.tolist()
+                    )
+                keys[row] = built[raw]
+        skeletons += keys
+        lengths += [walks.shape[1] - 1] * len(walks)
+    del built
+    weights: dict[tuple[FrameSplit, ...], float] = {}
+    for i in order.tolist():
+        weights[skeletons[i]] = weights.get(skeletons[i], 0.0) + weight[lengths[i]]
+    del skeletons, lengths
     total = math.fsum(weights.values())
     return {sk: weights[sk] / total for sk in sorted(weights)}
 

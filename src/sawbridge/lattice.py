@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 Site = tuple[int, ...]
 
 
@@ -38,16 +40,17 @@ def unit_steps(d: int) -> list[Site]:
     return steps
 
 
-def origin(d: int) -> Site:
-    return (0,) * d
-
-
-def manhattan(a: Site, b: Site) -> int:
-    return sum(abs(p - q) for p, q in zip(a, b))
-
-
-def site_add(a: Site, b: Site) -> Site:
-    return tuple(p + q for p, q in zip(a, b))
+def self_avoiding(walks: np.ndarray) -> np.ndarray:
+    """Which rows of a (walks, sites, d) stack are self-avoiding walks:
+    unit steps, and no site twice."""
+    m = walks.shape[1]
+    unit = (np.abs(np.diff(walks, axis=1)).sum(axis=2) == 1).all(axis=1)
+    # with unit steps a site lies within m - 1 of the first on each axis,
+    # so its offset is one digit base 2m + 1
+    digits = (2 * m + 1) ** np.arange(walks.shape[2])
+    codes = (walks.astype(np.int64) - walks[:, :1] + m) @ digits
+    codes.sort(axis=1)
+    return unit & (codes[:, 1:] != codes[:, :-1]).all(axis=1)
 
 
 def is_self_avoiding(sites: Sequence[Site]) -> bool:
@@ -58,16 +61,12 @@ def is_self_avoiding(sites: Sequence[Site]) -> bool:
     """
     if len(sites) == 0:
         raise ValueError("a walk has at least one site")
-    for a, b in zip(sites, sites[1:]):
-        if manhattan(a, b) != 1:
-            return False
-    return len(set(sites)) == len(sites)
+    return bool(self_avoiding(np.array([sites]))[0])
 
 
 def require_walk(sites: Sequence[Site]) -> None:
     """Raise ValueError unless `sites` is a valid self-avoiding walk."""
+    if len(sites) and any(len(s) != len(sites[0]) for s in sites):
+        raise ValueError("sites have inconsistent dimension")
     if not is_self_avoiding(sites):
         raise ValueError("site sequence is not a self-avoiding walk")
-    d = len(sites[0])
-    if any(len(s) != d for s in sites):
-        raise ValueError("sites have inconsistent dimension")

@@ -37,14 +37,13 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import pairwise, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counting import NoBridgesError, iter_bridges_to_axis_point
+from .counting import NoBridgesError, bridges_to_axis_point
 from .lattice import FrameSplit, Site
 from .renewal import StepLaw
 from .rng import uniform_block
@@ -373,6 +372,7 @@ def sample_skeletons(
     if threads <= 1 or len(batches) <= 1:
         parts = [_sample_batch(law, partition, seed, batch) for batch in batches]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(
                 pool.map(_sample_batch, repeat(law), repeat(partition), repeat(seed), batches)
@@ -419,9 +419,11 @@ def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
 class ExhaustiveWalkSampler:
     """Every bridge to (n, 0̃) within the step cutoff, by total enumeration.
 
-    The full-walk law at inverse temperature beta weights each path in
-    `paths` by e^{-beta * steps}; callers apply those weights.  Practical
-    only where the bridge count is modest (n up to about 7 in the plane).
+    `walks` (one site array per length) and `order` (their permutation
+    into depth-first order) are `bridges_to_axis_point`'s result.  The
+    full-walk law at inverse temperature beta weights each walk by
+    e^{-beta * steps}; callers apply those weights.  Practical only where
+    the bridge count is modest (n up to about 7 in the plane).
     """
 
     _SPAN_CAP = {2: 7, 3: 5, 4: 4}
@@ -431,8 +433,8 @@ class ExhaustiveWalkSampler:
         if cap is None or n > cap:
             raise ValueError(f"exhaustive sampling supports n <= {cap} at d={d}")
         self.d, self.n, self.cutoff = d, n, cutoff
-        self.paths = list(iter_bridges_to_axis_point(d, n, cutoff))
-        if not self.paths:
+        self.walks, self.order = bridges_to_axis_point(d, n, cutoff)
+        if not self.walks:
             raise NoBridgesError(
                 f"no bridge reaches ({n}, 0) within {cutoff} steps"
             )

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .counting import bridge_skeleton
-from .lattice import Site
+from .counting import knot_stacks
+from .lattice import self_avoiding
 from .sampler import SkeletonBatch, evaluate_process_grid
 
 KS_SERIES_TERMS = 100
@@ -229,29 +230,28 @@ def _distance_to_polyline(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points[:, :, None, :] - nearest, axis=3).min(axis=2)
 
 
-def shrinking_statistic(walks: Sequence[Sequence[Site]], n: int) -> np.ndarray:
+def shrinking_statistic(walks: Sequence[ArrayLike], n: int) -> np.ndarray:
     """Largest scaled distance from each walk's vertices to its skeleton curve.
 
-    The skeleton is the walk's own regeneration skeleton.  The walk and
-    the skeleton interpolation are both mapped to scaled coordinates
-    (first component over n, transverse components over sqrt(n)); the
-    statistic is the sup over walk vertices of the Euclidean distance to
-    the piecewise-linear skeleton graph.  Walks with equal site and
-    increment counts are measured together as one array.
+    `walks` holds walks, or stacks of same-length walks as (walks, sites,
+    d) arrays; the values come out in that order, a stack's in row order.
+    The skeleton curve joins the walk's regeneration knots.  The walk and
+    the curve are both mapped to scaled coordinates (first component over
+    n, transverse components over sqrt(n)); the statistic is the sup over
+    walk vertices of the Euclidean distance to the piecewise-linear curve.
+    The walks of a stack with equal knot counts are measured as one array.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    knots = []
-    for index, walk in enumerate(walks):
-        if walk[-1][0] != n or any(c != 0 for c in walk[-1][1:]):
+    values = []
+    for stack in walks:
+        stack = np.reshape(stack, (-1, *np.shape(stack)[-2:]))
+        if (stack[:, -1, 0] != n).any() or stack[:, -1, 1:].any():
             raise ValueError(f"walk must end on the axis at ({n}, 0)")
-        increments = [(s.t, *s.y) for s in bridge_skeleton(walk)]
-        knots.append(np.cumsum([(0,) * len(walk[0]), *increments], axis=0))
-        groups.setdefault((len(walk), len(increments)), []).append(index)
-    values = np.empty(len(knots))
-    for members in groups.values():
-        d = knots[members[0]].shape[1]
-        scale = np.array([n] + [math.sqrt(n)] * (d - 1), dtype=np.float64)
-        points = np.array([walks[i] for i in members], dtype=np.float64) / scale
-        curves = np.array([knots[i] for i in members], dtype=np.float64) / scale
-        values[members] = _distance_to_polyline(points, curves).max(axis=1)
-    return values
+        if not self_avoiding(stack).all():
+            raise ValueError("site sequence is not a self-avoiding walk")
+        scale = np.array([n] + [math.sqrt(n)] * (stack.shape[2] - 1))
+        out = np.empty(len(stack))
+        for rows, knots in knot_stacks(stack):
+            distances = _distance_to_polyline(stack[rows] / scale, knots / scale)
+            out[rows] = distances.max(axis=1)
+        values.append(out)
+    return np.concatenate(values) if values else np.zeros(0)

@@ -5,7 +5,8 @@ scans, dictionary recursions.  None of it shares code with the package
 modules, with two exceptions: exact_gap_fraction reuses the package's
 partition DP, which the tests check against composition_partition, and
 is itself checked against renewal_conditioned_law; batch_of only packs
-test skeletons into the package's SkeletonBatch.  Agreement between
+test skeletons into the package's SkeletonBatch, and paths_in_order only
+unpacks the package's array search into tuples.  Agreement between
 the two sides is the point of the tests.  per_step_slabs is the one
 numpy reference: the partition DP as one update per law step, whose
 floating-point operations the package's block sum must repeat bit for bit.
@@ -112,6 +113,67 @@ def naive_bridges_to(d: int, n: int, max_steps: int) -> list[Path]:
         for p in iter_saws(d, max_steps)
         if p[-1] == target and len(p) > 1 and naive_is_bridge(p)
     ]
+
+
+def iter_bridges_to_axis_point(
+    d: int, n: int, max_steps: int
+) -> Iterator[Path]:
+    """Every bridge from the origin to (n, 0, ..., 0) with <= max_steps
+    steps, by recursive depth-first search over the unit steps in the
+    package's order (axis ascending, + before -): the ordered reference
+    for the package's array search.
+
+    The search stays inside the slab 1 <= x_1 <= n and prunes branches
+    whose lattice distance to the target exceeds the remaining budget.
+    """
+    target = (n,) + (0,) * (d - 1)
+    path: list[Site] = [(0,) * d]
+    visited = {path[0]}
+
+    def rec() -> Iterator[Path]:
+        cur = path[-1]
+        if cur == target:
+            # no bridge revisits its endpoint, so recursion stops here
+            yield tuple(path)
+            return
+        remaining = max_steps - (len(path) - 1)
+        if remaining == 0:
+            return
+        for nxt in _neighbours(cur):
+            x0 = nxt[0]
+            if x0 < 1 or x0 > n or nxt in visited:
+                continue
+            dist = (n - x0) + sum(abs(c) for c in nxt[1:])
+            if dist > remaining - 1:
+                continue
+            visited.add(nxt)
+            path.append(nxt)
+            yield from rec()
+            path.pop()
+            visited.remove(nxt)
+
+    yield from rec()
+
+
+def paths_in_order(walks, order) -> list[Path]:
+    """The walks of an array search (one site array per length) as tuples
+    of sites, permuted into the search's stated order."""
+    flat = [tuple(map(tuple, walk)) for group in walks for walk in group.tolist()]
+    return [flat[i] for i in order]
+
+
+def ordered_skeleton_law(
+    d: int, n: int, beta: float, max_steps: int
+) -> dict[tuple[tuple[int, tuple[int, ...]], ...], float]:
+    """The exact skeleton law as a per-walk sum: the weights e^{-beta N}
+    are added in the recursive search's order, keyed by (t, y) increment
+    pairs, and normalized by an exactly rounded sum over the sorted keys."""
+    weights: dict = {}
+    for path in iter_bridges_to_axis_point(d, n, max_steps):
+        sk = tuple((s[0], tuple(s[1:])) for s in naive_skeleton(path))
+        weights[sk] = weights.get(sk, 0.0) + math.exp(-beta * (len(path) - 1))
+    total = math.fsum(weights.values())
+    return {sk: weights[sk] / total for sk in sorted(weights)}
 
 
 def naive_skeleton(path: Sequence[Site]) -> tuple[Site, ...]:

@@ -6,11 +6,12 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sawbridge import cli, counting, renewal, sampler
+from sawbridge import cli, counting, renewal, sampler, stats
 from sawbridge.reporting import (
     canonical_json,
     content_digest,
@@ -495,6 +496,33 @@ def test_a_step_law_report_without_its_law_exits_2(pipeline_dir, tmp_path, capsy
     assert not (tmp_path / "skeletons_n5.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("law", [], "malformed step-law report"),
+        ("config", [], "stamp is not a JSON object"),
+        ("config", "d2", "stamp is not a JSON object"),
+    ],
+    ids=["law_list", "config_list", "config_string"],
+)
+def test_a_step_law_report_of_the_wrong_shape_exits_2(
+    pipeline_dir, tmp_path, capsys, field, value, message
+):
+    # a hash-valid report whose law or stamp is not a JSON object
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    report[field] = value
+    report["sha256"] = content_digest(canonical_json(report))
+    path.write_text(canonical_json(report), encoding="utf-8")
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}: {message}")):
+        cli.load_law(config)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "skeletons_n5.csv").exists()
+
+
 def test_repeated_spans_exit_2(tmp_path, capsys):
     for command in ("sample", "analyze"):
         assert run(command, "--d", "2", "--L", "10", "--n", "8,8", "--out", tmp_path) == 2
@@ -545,6 +573,49 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "totals_d2_L1.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool module is imported only where a stage runs more than one worker
+    code = "import sys, sawbridge.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_exhaustive_shrinking_rows_are_unchanged():
+    # the rows of the recursive search that built one skeleton per walk
+    assert repr(cli.exhaustive_shrinking(1.2)) == (
+        "[{'n': 4, 'mean': 0.13852511981749002, 'max': 0.447213595499958}, "
+        "{'n': 6, 'mean': 0.1350922933390161, 'max': 0.3086066999241838}]"
+    )
+
+
+def test_analyze_and_oracle_call_the_traced_exhaustive_layers(
+    pipeline_dir, tmp_path, monkeypatch
+):
+    # the benchmark times these three by name; a stage that stopped calling
+    # one would make its layer time read 0
+    calls = Counter()
+    for module, name in (
+        (sampler, "ExhaustiveWalkSampler"),
+        (stats, "shrinking_statistic"),
+        (counting, "exact_conditioned_skeleton_law"),
+    ):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+    campaign = ("--d", "2", "--L", "10", "--out", str(tmp_path),
+                "--n", "5,6", "--replicas", "250", "--seed", "7")
+    assert run("analyze", *campaign) == 0
+    assert calls == {"ExhaustiveWalkSampler": 2, "shrinking_statistic": 2}
+    assert run("oracle", *campaign) == 0
+    assert calls["exact_conditioned_skeleton_law"] == 1
 
 
 # sha256 of every file a small campaign writes, recorded before the

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from sawbridge import counting
@@ -159,54 +161,62 @@ def test_mass_estimate_behaviour():
         )
 
 
+def read_knots(path, mask):
+    """Bridge verdict, break points and regeneration sites of a walk, read
+    off its row of the knot mask."""
+    sites = [tuple(path[i]) for i in np.flatnonzero(mask)[1:-1]]
+    return bool(mask[0]), [site[0] for site in sites], sites
+
+
+def classify(path):
+    return read_knots(path, counting.regeneration_knots(np.array([path]))[0])
+
+
 def test_classify_bridge_examples():
     straight = [(0, 0), (1, 0), (2, 0)]
-    anatomy = counting.classify_bridge(straight)
-    assert anatomy.is_bridge
-    assert anatomy.break_points == (1,)
-    assert anatomy.regeneration_sites == ((1, 0),)
+    assert classify(straight) == (True, [1], [(1, 0)])
 
     returning = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert not counting.classify_bridge(returning).is_bridge
-    assert counting.classify_bridge(returning).break_points == ()
+    assert classify(returning) == (False, [], [])
 
     # the walk dips back to level 1 after reaching level 2, so level 1 is
     # not a break point; level 2 is (never down-crossed)
     wiggle = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (2, 2), (3, 2)]
-    anatomy = counting.classify_bridge(wiggle)
-    assert anatomy.is_bridge
-    assert anatomy.break_points == (2,)
-    assert anatomy.regeneration_sites == ((2, 2),)
+    assert classify(wiggle) == (True, [2], [(2, 2)])
     assert oracles.naive_break_points(wiggle) == [2]
+    # a bridge may start off the origin
+    assert classify([(3, 1), (4, 1), (4, 2), (5, 2)]) == (True, [4], [(4, 2)])
 
 
 def test_classify_matches_oracle_on_all_paths_to_ten_steps():
-    checked = 0
+    # every walk of 0..10 steps, bridges or not, one stack per length
+    by_length: dict[int, list] = {}
     for path in oracles.iter_saws(2, 10):
-        anatomy = counting.classify_bridge(path)
-        assert anatomy.is_bridge == oracles.naive_is_bridge(path)
-        if anatomy.is_bridge:
-            assert list(anatomy.break_points) == oracles.naive_break_points(path)
-            for k, site in zip(anatomy.break_points, anatomy.regeneration_sites):
-                assert site[0] == k
-            if len(path) > 1:
+        by_length.setdefault(len(path), []).append(path)
+    checked = 0
+    for paths in by_length.values():
+        masks = counting.regeneration_knots(np.array(paths))
+        for path, mask in zip(paths, masks):
+            is_bridge, breaks, sites = read_knots(path, mask)
+            assert is_bridge == oracles.naive_is_bridge(path)
+            if is_bridge:
+                assert breaks == oracles.naive_break_points(path)
                 expected = tuple(
                     FrameSplit(s[0], tuple(s[1:])) for s in oracles.naive_skeleton(path)
                 )
-                assert counting.bridge_skeleton(path) == expected
-        else:
-            assert anatomy.break_points == ()
-            assert anatomy.regeneration_sites == ()
-        checked += 1
+                assert counting.bridge_skeleton(path) == (expected if len(path) > 1 else ())
+            else:
+                assert not mask.any()
+            checked += 1
     assert checked == sum(C_SQUARE[:11])
 
 
 @given(oracles.walk_strategy(3, max_steps=10))
 def test_classify_matches_oracle_random_d3(path):
-    anatomy = counting.classify_bridge(path)
-    assert anatomy.is_bridge == oracles.naive_is_bridge(path)
-    if anatomy.is_bridge:
-        assert list(anatomy.break_points) == oracles.naive_break_points(path)
+    is_bridge, breaks, _ = classify(path)
+    assert is_bridge == oracles.naive_is_bridge(path)
+    if is_bridge:
+        assert breaks == oracles.naive_break_points(path)
 
 
 def test_skeleton_increments_sum_to_displacement():
@@ -367,9 +377,73 @@ def test_cache_rewrite_is_byte_identical(tmp_path):
     ],
 )
 def test_bridge_enumeration_to_axis_point_matches_oracle(d, n, max_steps):
-    ours = set(counting.iter_bridges_to_axis_point(d, n, max_steps))
+    walks, order = counting.bridges_to_axis_point(d, n, max_steps)
+    ours = oracles.paths_in_order(walks, order)
     theirs = set(oracles.naive_bridges_to(d, n, max_steps))
-    assert ours == theirs
+    assert len(ours) == len(theirs)
+    assert set(ours) == theirs
+
+
+@given(
+    st.sampled_from([(2, 5, 6), (3, 3, 4), (4, 2, 4)]).flatmap(
+        lambda dims: st.tuples(
+            st.just(dims[0]),
+            st.integers(1, dims[1]),
+            st.integers(0, dims[2]),
+        )
+    )
+)
+def test_array_search_repeats_the_recursive_search(case):
+    # spans and budgets of both parities; an odd budget surplus is unusable
+    d, n, surplus = case
+    walks, order = counting.bridges_to_axis_point(d, n, n + surplus)
+    assert [w.shape[1] for w in walks] == sorted({w.shape[1] for w in walks})
+    paths = oracles.paths_in_order(walks, order)
+    assert paths == list(oracles.iter_bridges_to_axis_point(d, n, n + surplus))
+    # each walk's array skeleton is its skeleton
+    at = np.cumsum([0] + [len(w) for w in walks])
+    rank = np.argsort(order)
+    for start, group in zip(at, walks):
+        for rows, knots in counting.knot_stacks(group):
+            for row, increments in zip(rows, np.diff(knots, axis=1).tolist()):
+                path = paths[rank[start + row]]
+                assert tuple(map(tuple, group[row].tolist())) == path
+                expected = oracles.naive_skeleton(path)
+                assert tuple(map(tuple, increments)) == expected
+                assert counting.bridge_skeleton(path) == tuple(
+                    FrameSplit(t, tuple(y)) for t, *y in expected
+                )
+
+
+@pytest.mark.parametrize("d, n, max_steps", [(2, 5, 11), (3, 3, 7), (4, 2, 6)])
+def test_array_search_in_small_blocks_keeps_the_order(monkeypatch, d, n, max_steps):
+    # levels wider than a block are extended block by block, depth first
+    monkeypatch.setattr(counting, "FRONTIER_BLOCK", 3)
+    walks, order = counting.bridges_to_axis_point(d, n, max_steps)
+    reference = list(oracles.iter_bridges_to_axis_point(d, n, max_steps))
+    assert oracles.paths_in_order(walks, order) == reference
+
+
+@pytest.mark.parametrize("d, n, cutoff", [(2, 5, 9), (2, 5, 10), (3, 3, 7)])
+def test_exact_law_equals_the_ordered_reference(d, n, cutoff):
+    # the same weights summed in the same order: equal bit for bit
+    law = counting.exact_conditioned_skeleton_law(d, n, 1.2, cutoff)
+    reference = oracles.ordered_skeleton_law(d, n, 1.2, cutoff)
+    assert list(law.items()) == list(reference.items())
+
+
+def test_exact_law_peak_memory():
+    # (2, 5, 13) is the short-span oracle's law; the recursive search that
+    # built one skeleton per walk peaked at 1.2-1.5 MB here, by how warm
+    # the process was
+    counting.exact_conditioned_skeleton_law(2, 5, 1.2, 13)
+    tracemalloc.start()
+    try:
+        counting.exact_conditioned_skeleton_law(2, 5, 1.2, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_exact_law_ignores_unusable_parity_step():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,10 +14,10 @@ def walk_strategy(d: int, max_steps: int = 12):
 
     def build(indices: list[int]) -> list[tuple[int, ...]]:
         steps = lattice.unit_steps(d)
-        path = [lattice.origin(d)]
+        path = [(0,) * d]
         seen = {path[0]}
         for i in indices:
-            nxt = lattice.site_add(path[-1], steps[i])
+            nxt = tuple(p + q for p, q in zip(path[-1], steps[i]))
             if nxt in seen:
                 break
             seen.add(nxt)
@@ -66,6 +67,11 @@ def test_generated_walks_are_self_avoiding_d3(path):
     assert lattice.is_self_avoiding(path)
 
 
-def test_manhattan_and_site_arithmetic():
-    assert lattice.manhattan((0, 0), (2, -3)) == 5
-    assert lattice.site_add((1, 2), (3, -4)) == (4, -2)
+def test_self_avoiding_checks_each_row_of_a_stack():
+    walks = np.array([
+        [(0, 0), (1, 0), (1, 1)],
+        [(0, 0), (1, 0), (0, 0)],  # revisit
+        [(0, 0), (2, 0), (2, 1)],  # non-unit jump
+    ])
+    assert lattice.self_avoiding(walks).tolist() == [True, False, False]
+    assert lattice.self_avoiding(walks[:, :1]).all()

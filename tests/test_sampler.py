@@ -30,6 +30,7 @@ from oracles import (
     composition_partition,
     interpolate_process,
     naive_is_bridge,
+    paths_in_order,
     per_step_slabs,
     renewal_conditioned_law,
     scaled_knots,
@@ -562,21 +563,24 @@ def test_skeleton_validation_errors():
 
 def test_exhaustive_single_walk_point_mass():
     walks = sampler.ExhaustiveWalkSampler(2, 1, 1)
-    assert walks.paths == [((0, 0), (1, 0))]
+    assert paths_in_order(walks.walks, walks.order) == [((0, 0), (1, 0))]
 
 
 def test_exhaustive_walks_are_bridges_to_the_pin():
     walks = sampler.ExhaustiveWalkSampler(2, 4, 8)
-    assert walks.paths
-    for walk in walks.paths:
+    paths = paths_in_order(walks.walks, walks.order)
+    assert paths
+    for walk in paths:
         assert naive_is_bridge(walk)
         assert walk[-1] == (4, 0)
 
 
 def test_exhaustive_draw_is_deterministic_across_builds():
-    one = sampler.ExhaustiveWalkSampler(2, 3, 7).paths
-    two = sampler.ExhaustiveWalkSampler(2, 3, 7).paths
-    assert one == two
+    one = sampler.ExhaustiveWalkSampler(2, 3, 7)
+    two = sampler.ExhaustiveWalkSampler(2, 3, 7)
+    assert np.array_equal(one.order, two.order)
+    assert all(map(np.array_equal, one.walks, two.walks))
+    one = paths_in_order(one.walks, one.order)
     assert all(walk[-1] == (3, 0) for walk in one)
 
 

@@ -20,6 +20,7 @@ from oracles import (
     classic_ks_statistic,
     exact_gap_fraction,
     longer_than_cube_root,
+    paths_in_order,
     renewal_conditioned_law,
 )
 
@@ -361,11 +362,14 @@ def shrinking_one_walk(walk, n: int) -> float:
 
 @pytest.mark.parametrize("d, n, cutoff", [(2, 4, 10), (3, 3, 5)])
 def test_shrinking_of_many_walks_equals_each_walk_alone(d, n, cutoff):
-    paths = sampler.ExhaustiveWalkSampler(d, n, cutoff).paths
+    walks = sampler.ExhaustiveWalkSampler(d, n, cutoff)
+    paths = paths_in_order(walks.walks, walks.order)
     assert len({(len(p), len(counting.bridge_skeleton(p))) for p in paths}) > 1
-    values = stats.shrinking_statistic(paths, n)
+    values = stats.shrinking_statistic(walks.walks, n)
     assert values.dtype == np.float64
-    assert values.tolist() == [shrinking_one_walk(p, n) for p in paths]
+    assert values[walks.order].tolist() == [shrinking_one_walk(p, n) for p in paths]
+    # walks given one by one are measured alike
+    assert stats.shrinking_statistic(paths, n).tolist() == values[walks.order].tolist()
 
 
 @pytest.mark.parametrize(
@@ -386,8 +390,9 @@ def test_shrinking_shrinks_between_exhaustive_spans():
     means = {}
     for n, cutoff in ((4, 10), (6, 12)):
         walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
-        weights = np.exp(-1.2 * np.array([len(p) - 1 for p in walks.paths]))
+        steps = np.concatenate([np.full(len(w), w.shape[1] - 1) for w in walks.walks])
+        weights = np.exp(-1.2 * steps)
         weights /= weights.sum()
-        values = stats.shrinking_statistic(walks.paths, n)
+        values = stats.shrinking_statistic(walks.walks, n)
         means[n] = float(weights @ values)
     assert means[6] < means[4]
