@@ -9,7 +9,7 @@ Two qualitative tables from exact counts alone:
   with consecutive ratios, which flatten toward one when the power-law
   correction to the two-point decay has the expected exponent.
 
-    python scripts/decay_diagnostics.py --d 2 --L 12 --beta 1.2 --threads 4
+    python scripts/decay_diagnostics.py --d 2 --L 12 --beta 1.2
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ def main() -> int:
         " irreducible bridge spanning a slab of width n needs about"
         " 3n steps)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
     args = parser.parse_args()
     n_max = args.n_max or max(1, args.L // 3)
 
     tables = {
-        walk_class: counting.enumerate_counts(
-            args.d, args.L, walk_class, threads=args.threads
-        )
+        walk_class: counting.enumerate_counts(args.d, args.L, walk_class)
         for walk_class in (counting.WalkClass.ALL, counting.WalkClass.BRIDGE)
     }
     tables[counting.WalkClass.IRREDUCIBLE_BRIDGE] = counting.irreducible_counts(

@@ -7,11 +7,12 @@ m_hat(L) increases with L and the shell mass shrinks geometrically,
 which is the practical convergence check for choosing a production
 cutoff.
 
-    python scripts/mass_convergence.py --d 2 --beta 1.2 --max-L 16 --threads 8
+    python scripts/mass_convergence.py --d 2 --beta 1.2 --max-L 16
 
 Enumeration cost grows roughly with the connective constant to the
-power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 2.7 s with
-one worker and 1.4-2.0 s with two; the whole sweep above takes 3 s.
+power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 0.61-0.62 s
+(enumeration, calibration and step law); the whole sweep above takes
+1.2-1.4 s.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ def main() -> int:
     parser.add_argument("--beta", type=float, default=1.2, help="inverse temperature")
     parser.add_argument("--min-L", type=int, default=4, help="smallest cutoff")
     parser.add_argument("--max-L", type=int, default=16, help="largest cutoff")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
     args = parser.parse_args()
 
     print(f"d={args.d} beta={args.beta}")
@@ -37,10 +37,7 @@ def main() -> int:
     for cutoff in range(args.min_L, args.max_L + 1):
         started = time.perf_counter()
         table = counting.enumerate_counts(
-            args.d,
-            cutoff,
-            counting.WalkClass.IRREDUCIBLE_BRIDGE,
-            threads=args.threads,
+            args.d, cutoff, counting.WalkClass.IRREDUCIBLE_BRIDGE
         )
         m_hat = renewal.calibrate_mass(table, args.beta)
         shell = renewal.truncation_tail_mass(table, args.beta, m_hat)

@@ -8,27 +8,30 @@ through unchanged, so e.g.
     python scripts/run_campaign.py --L 9 --n 5,6 --replicas 500 --out /tmp/r
 
 The oracle stage only runs when the smallest configured span is small
-enough to enumerate exhaustively; it is skipped otherwise.
+enough to enumerate exhaustively at the configured dimension (default 2);
+it is skipped otherwise.
 """
 
 from __future__ import annotations
 
 import sys
 
-from sawbridge.cli import ORACLE_MAX_SPAN, main
+from sawbridge.cli import main
+from sawbridge.counting import EXHAUSTIVE_SPAN_CAP
 
 
-def spans_from(argv: list[str]) -> list[int]:
-    for flag, value in zip(argv, argv[1:]):
-        if flag == "--n":
-            return [int(part) for part in value.split(",") if part]
-    return []
+def flag_value(argv: list[str], flag: str) -> str | None:
+    for name, value in zip(argv, argv[1:]):
+        if name == flag:
+            return value
+    return None
 
 
 def run(argv: list[str]) -> int:
     stages = ["enumerate", "calibrate", "sample", "analyze"]
-    spans = spans_from(argv)
-    if spans and min(spans) <= ORACLE_MAX_SPAN:
+    spans = [int(part) for part in (flag_value(argv, "--n") or "").split(",") if part]
+    cap = EXHAUSTIVE_SPAN_CAP.get(int(flag_value(argv, "--d") or 2), 0)
+    if spans and min(spans) <= cap:
         stages.append("oracle")
     for stage in stages:
         print(f"== {stage} ==", flush=True)

@@ -14,12 +14,12 @@ Three walk classes are tabulated:
 * IRREDUCIBLE_BRIDGE: a bridge none of whose interior levels k splits it
   into "everything <= k, then everything > k".
 
-ALL and BRIDGE are counted by one depth-first search over the walks: a
-bridge is a walk that stays at level >= 1 and ends at its running
-maximum, so each node is tallied as a walk and, when it is one, as a
-bridge.  IRREDUCIBLE_BRIDGE is not searched: a bridge splits uniquely at
-its break levels into irreducible ones, so its table is solved exactly
-from the bridge table by renewal deconvolution (`irreducible_counts`).
+ALL and BRIDGE are counted by one search over the walks: a bridge is a
+walk that stays at level >= 1 and ends at its running maximum, so each
+walk is tallied as a walk and, when it is one, as a bridge.
+IRREDUCIBLE_BRIDGE is not searched: a bridge splits uniquely at its break
+levels into irreducible ones, so its table is solved exactly from the
+bridge table by renewal deconvolution (`irreducible_counts`).
 
 Signed axis permutations map walks onto walks, so the search visits only
 canonical walks: first step +e1, and first step off the e1 axis (the
@@ -32,17 +32,22 @@ canonical walks one-to-one onto the walks with that step and turn.
 Bridges depend only on e1 levels, so they use the 2(d-1) maps that fix
 e1.
 
-Every table passes through one dense int64 grid over the box |x_i| <= L
-and the lengths 0..L (L the cutoff).  The search keeps a site as one int,
-its mixed-radix code over that box with axis 0 least significant, which is
-its flat index in the grid.  A class's grid is its half of the canonical
-rows plus one np.flip and transpose per orbit map; the deconvolution runs
-on the same grid, and `counts` holds its nonzero rows, endpoint-sorted.
+Both walk searches, this one and the exhaustive bridge search of
+`bridges_to_axis_point`, are one array frontier over site codes.  A site
+is its mixed-radix code over a box |x_i| <= R with axis 0 least
+significant, in the smallest integer type that holds them all, so a unit
+step adds a fixed offset and the origin is the box's centre.  The partial
+walks of one length are the rows of a code array; they are extended in
+blocks of FRONTIER_BLOCK walks, depth first, so few blocks are held at
+once, and a new site is compared only with the sites an even number of
+steps back.
 
-Parallel enumeration splits the canonical subtrees at a fixed prefix depth
-(a subtree rooted deeper is one task as a whole) and merges per-subtree
-counts by integer addition, so results are independent of the thread
-count and of task scheduling order.
+Every table passes through one dense int64 grid over the box |x_i| <= L
+and the lengths 0..L (L the cutoff), and a code is a site's flat index in
+it.  The search adds each walk into a (code, length) tally; a class's
+grid is its half of that tally plus one np.flip and transpose per orbit
+map.  The deconvolution runs on the same grid, and `counts` holds its
+nonzero rows, endpoint-sorted.
 """
 
 from __future__ import annotations
@@ -68,9 +73,10 @@ SUPPORTED_DIMENSIONS = (2, 3, 4)
 _GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
 
 NODE_BUDGET = 5e10
-SPLIT_DEPTH = 6
-# partial walks the bridge search extends at once (a whole d = 2 level)
-FRONTIER_BLOCK = 2**13
+# partial walks a search extends at once (a whole d = 2 bridge level)
+FRONTIER_BLOCK = 2**11
+# largest span whose bridges `bridges_to_axis_point` enumerates, by dimension
+EXHAUSTIVE_SPAN_CAP = {2: 6, 3: 5, 4: 4}
 
 
 class WalkClass(Enum):
@@ -122,91 +128,24 @@ def estimate_nodes(d: int, cutoff: int) -> float:
     return sum(mu**k for k in range(cutoff + 1))
 
 
-def _encode_origin(d: int, cutoff: int) -> int:
-    base = 2 * cutoff + 1
-    return sum(cutoff * base**i for i in range(d))
+def _unit_codes(d: int, radius: int) -> np.ndarray:
+    """Code displacement of each unit step (axis ascending, + before -) on
+    the box |x_i| <= radius, in the smallest signed integer type that holds
+    every code of the box."""
+    base = 2 * radius + 1
+    dtype = np.min_scalar_type(-(base**d))
+    return np.outer(base ** np.arange(d), (1, -1)).ravel().astype(dtype)
 
 
-def _axis_offsets(d: int, cutoff: int) -> list[int]:
-    """Encoded displacement per canonical unit step (axis asc, + before -)."""
-    base = 2 * cutoff + 1
-    offs: list[int] = []
-    for axis in range(d):
-        w = base**axis
-        offs.extend((w, -w))
-    return offs
-
-
-def _explore(
-    d: int,
-    cutoff: int,
-    prefix: tuple[int, ...],
-    stop_depth: int | None,
-    sink: list[tuple[int, ...]] | None,
-) -> dict[int, list[int]]:
-    """Count self-avoiding extensions of an encoded path prefix.
-
-    The prefix's last node and every node below it are tallied by
-    endpoint and depth in a row of 2(cutoff + 1) counts: every node in the
-    first half, bridges also in the second.  A node is a bridge iff its
-    level x0 equals the running maximum `top`; once the walk steps below
-    level 1, `top` is cutoff + 1, which no level reaches.  When stop_depth
-    is given, nodes at that depth are appended to sink (as full code paths)
-    instead of being recorded or expanded; this is the prefix pass of the
-    parallel split.
-    """
-    base = 2 * cutoff + 1
-    offsets = _axis_offsets(d, cutoff)
-    visited = set(prefix)
-    stack = list(prefix)
-    counts: dict[int, list[int]] = {}
-    stop = -1 if stop_depth is None else stop_depth
-    width = cutoff + 1
-    never = cutoff + 1
-    lvls = [c % base - cutoff for c in prefix]
-    moves = [(offsets[0], 1), (offsets[1], -1), *((off, 0) for off in offsets[2:])]
-
-    def rec(pos: int, x0: int, top: int, depth: int) -> None:
-        if depth == stop:
-            sink.append(tuple(stack))
-            return
-        row = counts.get(pos)
-        if row is None:
-            row = counts[pos] = [0] * (2 * width)
-        row[depth] += 1
-        if x0 == top:
-            row[width + depth] += 1
-        if depth == cutoff:
-            return
-        nd = depth + 1
-        for off, rise in moves:
-            nxt = pos + off
-            if nxt in visited:
-                continue
-            nx0 = x0 + rise
-            visited.add(nxt)
-            stack.append(nxt)
-            rec(nxt, nx0, never if nx0 < 1 else nx0 if nx0 > top else top, nd)
-            stack.pop()
-            visited.remove(nxt)
-
-    top = max(lvls) if min(lvls[1:]) >= 1 else never
-    rec(prefix[-1], lvls[-1], top, len(prefix) - 1)
-    return counts
-
-
-def _subtree_counts(task: tuple[int, int, tuple[int, ...]]) -> dict[int, list[int]]:
-    return _explore(*task, None, None)
-
-
-def _merge_counts(acc: dict[int, list[int]], part: dict[int, list[int]]) -> None:
-    for code, row in part.items():
-        old = acc.get(code)
-        if old is None:
-            acc[code] = row
-        else:
-            for i, c in enumerate(row):
-                old[i] += c
+def _children(walks: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-step extensions of same-length walks of site codes onto sites
+    they have not visited, parent-major and step-minor: (parent rows, new
+    sites).  A site recurs only an even number of steps back (the lattice
+    is bipartite), so only those sites are compared."""
+    parent = np.repeat(np.arange(len(walks)), len(steps))
+    sites = (walks[:, -1, None] + steps).ravel()
+    seen = (walks[parent, walks.shape[1] % 2 :: 2] == sites[:, None]).any(axis=1)
+    return parent[~seen], sites[~seen]
 
 
 def _grid_counts(grid: np.ndarray) -> dict[Site, np.ndarray]:
@@ -249,23 +188,21 @@ def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[list[int], list[int
 
 
 def _rebuild_table(
-    d: int, cutoff: int, walk_class: WalkClass, canonical: dict[int, list[int]]
+    d: int, cutoff: int, walk_class: WalkClass, canonical: np.ndarray
 ) -> dict[Site, np.ndarray]:
-    """Endpoint-sorted table of the class from its canonical-walk counts.
+    """Endpoint-sorted table of the class from its canonical-walk tally.
 
-    The canonical rows' half for the class (ALL first, BRIDGE second) fills
-    a grid that each orbit map carries onto its walks; the straight walks,
-    which have no first turn, are added once each.
+    The tally's half for the class (ALL first, BRIDGE second) fills a grid
+    that each orbit map carries onto its walks; the straight walks, which
+    have no first turn, are added once each.
     """
     width = cutoff + 1
     lo = 0 if walk_class is WalkClass.ALL else width
     base = 2 * cutoff + 1
-    flat = np.zeros((base**d, width), dtype=np.int64)
-    for code, row in canonical.items():
-        flat[code] = row[lo : lo + width]
     # a code has axis 0 least significant, so the C-order reshape reverses
     # the site axes
-    half = flat.reshape((base,) * d + (width,)).transpose(*range(d - 1, -1, -1), d)
+    half = canonical[:, lo : lo + width].reshape((base,) * d + (width,))
+    half = half.transpose(*range(d - 1, -1, -1), d)
     grid = np.zeros_like(half)
     for flips, axes in _orbit_maps(d, walk_class):
         grid += np.flip(half, flips).transpose(axes)
@@ -279,46 +216,55 @@ def _rebuild_table(
     return _grid_counts(grid)
 
 
+def _canonical_roots(d: int, cutoff: int) -> list[tuple[int, ...]]:
+    """The canonical subtree roots (0, e1, ..., k e1, k e1 + e2) for
+    k = 1, ..., cutoff - 1, as site codes; the origin is the grid's centre."""
+    base = 2 * cutoff + 1
+    origin = (base**d - 1) // 2
+    return [(*range(origin, origin + k + 1), origin + k + base) for k in range(1, cutoff)]
+
+
 @lru_cache(maxsize=1)
-def _canonical_counts(d: int, cutoff: int, threads: int) -> dict[int, list[int]]:
-    """Counts of the canonical walks, in the rows `_explore` tallies.
+def _canonical_counts(d: int, cutoff: int) -> np.ndarray:
+    """Tally of the canonical walks, a (base^d, 2(cutoff + 1)) int64 array:
+    row `code` counts the walks ending at that site by length, every walk
+    in the first half and the bridges again in the second.
 
-    The last result is kept, so the ALL and BRIDGE tables of one (d,
-    cutoff) cost one search; callers must not mutate it.  With threads > 1
-    each canonical subtree is split at SPLIT_DEPTH into independent tasks
-    executed in a process pool (a subtree rooted deeper is one task);
-    counts merge by addition, so the result is identical for every thread
-    count.
+    The frontier grows from the roots in blocks of FRONTIER_BLOCK walks,
+    depth first.  A walk is a bridge iff its level x0 equals its running
+    maximum `top`; once it steps below level 1, `top` is cutoff + 1, which
+    no level reaches.  The last result is kept, so the ALL and BRIDGE
+    tables of one (d, cutoff) cost one search; callers must not mutate it.
     """
-    step_e1, _, step_e2 = _axis_offsets(d, cutoff)[:3]
-    spine = [_encode_origin(d, cutoff)]
-    roots: list[tuple[int, ...]] = []
-    for _ in range(1, cutoff):
-        spine.append(spine[-1] + step_e1)
-        roots.append((*spine, spine[-1] + step_e2))
-
-    split = threads > 1 and cutoff > SPLIT_DEPTH
-    stop = SPLIT_DEPTH if split else None
-    canonical: dict[int, list[int]] = {}
-    prefixes: list[tuple[int, ...]] = []
-    for root in roots:
-        if split and len(root) - 1 > SPLIT_DEPTH:
-            prefixes.append(root)
+    base, width = 2 * cutoff + 1, cutoff + 1
+    steps = _unit_codes(d, cutoff)
+    tally = np.zeros((base**d, 2 * width), dtype=np.int64)
+    blocks = []
+    for root in _canonical_roots(d, cutoff):
+        # a root ends at its running maximum: it is a bridge
+        tally[root[-1], [len(root) - 1, width + len(root) - 1]] += 1
+        if len(root) <= cutoff:
+            blocks.append((np.array([root], dtype=steps.dtype), np.array([len(root) - 2])))
+    flat = tally.reshape(-1)
+    while blocks:
+        walks, top = blocks.pop()
+        depth = walks.shape[1]
+        parent, sites = _children(walks, steps)
+        level = sites % base - cutoff
+        top = np.where(level < 1, width, np.maximum(level, top[parent]))
+        keys = sites.astype(np.int64) * (2 * width) + depth
+        np.add.at(flat, np.concatenate((keys, keys[level == top] + width)), 1)
+        if depth == cutoff:
             continue
-        _merge_counts(canonical, _explore(d, cutoff, root, stop, prefixes))
-    if prefixes:
-        from concurrent.futures import ProcessPoolExecutor
-        tasks = [(d, cutoff, p) for p in prefixes]
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_subtree_counts, tasks, chunksize=chunk):
-                _merge_counts(canonical, part)
-    return canonical
+        walks = np.concatenate((walks[parent], sites[:, None]), axis=1)
+        for start in reversed(range(0, len(walks), FRONTIER_BLOCK)):
+            stop = start + FRONTIER_BLOCK
+            blocks.append((walks[start:stop], top[start:stop]))
+    tally.flags.writeable = False
+    return tally
 
 
-def enumerate_counts(
-    d: int, cutoff: int, walk_class: WalkClass, *, threads: int = 1
-) -> CountTable:
+def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
     """Exhaustively count walks of one class up to `cutoff` steps.
 
     One search covers the canonical walks only (first step +e1, first turn
@@ -328,8 +274,7 @@ def enumerate_counts(
     `irreducible_counts`.
     """
     if walk_class is WalkClass.IRREDUCIBLE_BRIDGE:
-        bridge = enumerate_counts(d, cutoff, WalkClass.BRIDGE, threads=threads)
-        return irreducible_counts(bridge)
+        return irreducible_counts(enumerate_counts(d, cutoff, WalkClass.BRIDGE))
     check_dimension(d)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
@@ -339,8 +284,7 @@ def enumerate_counts(
             f"estimated {estimate:.2e} walk-tree nodes (the full tree, not the "
             f"symmetry-reduced search) exceeds budget {NODE_BUDGET:.2e}"
         )
-    canonical = _canonical_counts(d, cutoff, threads)
-    counts = _rebuild_table(d, cutoff, walk_class, canonical)
+    counts = _rebuild_table(d, cutoff, walk_class, _canonical_counts(d, cutoff))
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
 
 
@@ -498,54 +442,62 @@ def bridges_to_axis_point(
 
     Returns them grouped by length, shortest first, as (walks, steps + 1,
     d) site arrays, and the permutation of their concatenation into
-    depth-first order over `unit_steps`.  Partial walks of one depth are
-    extended as one array (or FRONTIER_BLOCK-walk blocks, depth first),
-    parent-major and step-minor.  A site is kept inside the slab
-    1 <= x_1 <= n (as every bridge to the target is), off the walk, and
+    depth-first order over `unit_steps`.  The search is the array frontier
+    over site codes on the box |x_i| <= max(n, max_steps).  A site is kept
+    inside the slab 1 <= x_1 <= n (as every bridge to the target is) and
     within reach of the target.  A walk stops at the target, so no bridge
-    is a prefix of another: one lexsort of the step codes gives the order.
+    is a prefix of another: one lexsort of the step indices gives the
+    order.  Spans above EXHAUSTIVE_SPAN_CAP are refused.
     """
     check_dimension(d)
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
+    cap = EXHAUSTIVE_SPAN_CAP[d]
+    if n > cap:
+        raise ValueError(f"exhaustive enumeration supports n <= {cap} at d = {d}, got {n}")
     # a walk to (n, 0̃) has n + 2j steps: a last step of the other parity is unusable
     max_steps -= (max_steps - n) % 2
-    dtype = np.int8 if max(n, max_steps) < 127 else np.int64  # every coordinate fits
-    steps = np.array(unit_steps(d), dtype=dtype)
-    target = np.array((n,) + (0,) * (d - 1), dtype=dtype)
+    radius = max(n, max_steps)
+    base = 2 * radius + 1
+    steps = _unit_codes(d, radius)
+    origin = (base**d - 1) // 2
+    dtype = np.int8 if radius < 127 else np.int64  # every coordinate fits
+    powers = base ** np.arange(d, dtype=steps.dtype)
     found: list[list[np.ndarray]] = [[] for _ in range(max(max_steps, 0) + 2)]
-    blocks = [np.zeros((1, 1, d), dtype=dtype)]
+    blocks = [np.full((1, 1), origin, dtype=steps.dtype)]
     while blocks:
         walks = blocks.pop()
         depth = walks.shape[1]
-        parent = np.repeat(np.arange(len(walks)), 2 * d)
-        sites = (walks[:, -1, None] + steps).reshape(-1, d)
-        x0 = sites[:, 0]
-        reach = (n - x0) + np.abs(sites[:, 1:]).sum(axis=1)
+        parent, sites = _children(walks, steps)
+        x0 = sites % base - radius
+        reach, rest = n - x0, sites // base
+        for _ in range(d - 1):
+            reach += np.abs(rest % base - radius)
+            rest //= base
         keep = (x0 >= 1) & (x0 <= n) & (reach <= max_steps - depth)
-        parent, sites = parent[keep], sites[keep]
-        # a site recurs only an even number of steps back (bipartite lattice)
-        seen = (walks[parent, depth % 2 :: 2] == sites[:, None]).all(axis=2).any(axis=1)
-        walks = np.concatenate((walks[parent[~seen]], sites[~seen, None]), axis=1)
-        done = (walks[:, -1] == target).all(axis=1)
-        found[depth].append(walks[done])
+        walks = np.concatenate((walks[parent[keep]], sites[keep, None]), axis=1)
+        done = walks[:, -1] == origin + n
+        if done.any():
+            # decoded part by part, so only small temporaries are made
+            ends = walks[done, :, None] // powers % base - radius
+            found[depth].append(ends.astype(dtype))
         walks = walks[~done]
         # depth first over blocks, so few blocks are held at once
         starts = reversed(range(0, len(walks), FRONTIER_BLOCK))
         blocks += [walks[i : i + FRONTIER_BLOCK] for i in starts]
-    found = [np.concatenate(part) for part in found if sum(map(len, part))]
+    found = [np.concatenate(part) for part in found if part]
     if not found:
         return [], np.zeros(0, dtype=np.intp)
-    # a unit step's base-3 digits (-1, 0 or 1 per axis) index its code
+    # a unit step's base-3 digits (-1, 0 or 1 per axis) index its step index
     digits = 3 ** np.arange(d, dtype=np.int8)
-    code_of = np.zeros(3**d, dtype=np.int8)
-    code_of[steps @ digits] = np.arange(2 * d)
-    codes = np.zeros((sum(map(len, found)), found[-1].shape[1] - 1), dtype=np.int8)
+    index_of = np.zeros(3**d, dtype=np.int8)
+    index_of[np.array(unit_steps(d), dtype=np.int8) @ digits] = np.arange(2 * d)
+    indices = np.zeros((sum(map(len, found)), found[-1].shape[1] - 1), dtype=np.int8)
     at = np.cumsum([0] + [len(group) for group in found])
     for start, group in zip(at.tolist(), found):
         moves = np.diff(group, axis=1) @ digits
-        codes[start : start + len(group), : moves.shape[1]] = code_of[moves]
-    return found, np.lexsort(codes.T[::-1])
+        indices[start : start + len(group), : moves.shape[1]] = index_of[moves]
+    return found, np.lexsort(indices.T[::-1])
 
 
 def exact_conditioned_skeleton_law(

@@ -422,16 +422,11 @@ class ExhaustiveWalkSampler:
     `walks` (one site array per length) and `order` (their permutation
     into depth-first order) are `bridges_to_axis_point`'s result.  The
     full-walk law at inverse temperature beta weights each walk by
-    e^{-beta * steps}; callers apply those weights.  Practical only where
-    the bridge count is modest (n up to about 7 in the plane).
+    e^{-beta * steps}; callers apply those weights.  Spans above
+    `counting.EXHAUSTIVE_SPAN_CAP` are refused.
     """
 
-    _SPAN_CAP = {2: 7, 3: 5, 4: 4}
-
     def __init__(self, d: int, n: int, cutoff: int):
-        cap = self._SPAN_CAP.get(d)
-        if cap is None or n > cap:
-            raise ValueError(f"exhaustive sampling supports n <= {cap} at d={d}")
         self.d, self.n, self.cutoff = d, n, cutoff
         self.walks, self.order = bridges_to_axis_point(d, n, cutoff)
         if not self.walks:

@@ -42,15 +42,16 @@ def step_law_l13(irr_table_l13) -> renewal.StepLaw:
 
 @pytest.fixture
 def searched_roots(monkeypatch) -> list[tuple[int, ...]]:
-    """The prefixes the in-process depth-first search is started from, with
-    the search memo cleared first."""
+    """The roots of every canonical-walk search, in the order the searches
+    start, with the search memo cleared first."""
     roots: list[tuple[int, ...]] = []
-    explore = counting._explore
+    canonical_roots = counting._canonical_roots
 
-    def counted(d, cutoff, prefix, stop_depth, sink):
-        roots.append(prefix)
-        return explore(d, cutoff, prefix, stop_depth, sink)
+    def counted(d, cutoff):
+        started = canonical_roots(d, cutoff)
+        roots.extend(started)
+        return started
 
-    monkeypatch.setattr(counting, "_explore", counted)
+    monkeypatch.setattr(counting, "_canonical_roots", counted)
     counting._canonical_counts.cache_clear()
     return roots

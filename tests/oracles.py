@@ -155,6 +155,51 @@ def iter_bridges_to_axis_point(
     yield from rec()
 
 
+def canonical_counts_dfs(d: int, cutoff: int) -> np.ndarray:
+    """The canonical-walk tally by recursive depth-first search: the
+    reference for the package's array frontier.
+
+    Sites are mixed-radix codes over the box |x_i| <= cutoff, axis 0 least
+    significant.  The walks are searched from the roots (0, e1, ..., k e1,
+    k e1 + e2), k = 1..cutoff - 1, and row `code` of the (base^d,
+    2(cutoff + 1)) result counts the walks ending there by length: every
+    walk in the first half, bridges also in the second.  A walk is a
+    bridge iff its level x0 equals the running maximum `top`; once the
+    walk steps below level 1, `top` is cutoff + 1, which no level reaches.
+    """
+    base = 2 * cutoff + 1
+    width = cutoff + 1
+    never = cutoff + 1
+    moves = []
+    for axis in range(d):
+        for sign in (1, -1):
+            moves.append((sign * base**axis, sign if axis == 0 else 0))
+    counts = np.zeros((base**d, 2 * width), dtype=np.int64)
+
+    def rec(pos: int, x0: int, top: int, depth: int) -> None:
+        counts[pos, depth] += 1
+        if x0 == top:
+            counts[pos, width + depth] += 1
+        if depth == cutoff:
+            return
+        for off, rise in moves:
+            nxt = pos + off
+            if nxt in visited:
+                continue
+            nx0 = x0 + rise
+            visited.add(nxt)
+            rec(nxt, nx0, never if nx0 < 1 else max(nx0, top), depth + 1)
+            visited.remove(nxt)
+
+    origin = sum(cutoff * base**i for i in range(d))
+    for k in range(1, cutoff):
+        root = [origin + j for j in range(k + 1)] + [origin + k + base]
+        visited = set(root)
+        # the root's sites after the origin lie at levels 1..k: a bridge
+        rec(root[-1], k, k, k + 1)
+    return counts
+
+
 def paths_in_order(walks, order) -> list[Path]:
     """The walks of an array search (one site array per length) as tuples
     of sites, permuted into the search's stated order."""

@@ -403,6 +403,16 @@ def test_oracle_span_cap_exits_2(pipeline_dir):
     assert run("oracle", *args) == 2
 
 
+def test_oracle_above_the_d3_span_cap_exits_2(tmp_path, capsys):
+    # at d = 3 the exhaustive search is capped at n = 5: every bridge of a
+    # larger span would be held in memory at once
+    args = ("--d", "3", "--L", "7", "--out", str(tmp_path))
+    assert run("enumerate", *args) == 0
+    assert run("oracle", *args, "--n", "6", "--replicas", "100") == 2
+    assert "supports n <= 5 at d = 3" in capsys.readouterr().err
+    assert not list(tmp_path.glob("oracle*"))
+
+
 def test_oracle_without_cache_exits_2(tmp_path, capsys):
     args = ("--d", "2", "--L", "6", "--out", str(tmp_path), "--n", "3")
     assert run("oracle", *args) == 2

@@ -275,28 +275,44 @@ def test_transverse_symmetry(d, cutoff, walk_class):
             assert np.array_equal(counts, count_row(table, (site[0],) + image))
 
 
-# Depth 1 is shallower than every canonical subtree root, so each subtree
-# is one pool task; deeper splits also run the prefix pass.
-@pytest.mark.parametrize(
-    "d,cutoff,split_depth",
-    [(2, 7, depth) for depth in range(1, 8)] + [(3, 5, depth) for depth in range(1, 6)],
+@given(
+    st.sampled_from([(2, 9), (3, 6), (4, 4)]).flatmap(
+        lambda dims: st.tuples(
+            st.just(dims[0]), st.integers(0, dims[1]), st.integers(1, 5)
+        )
+    )
 )
-@pytest.mark.parametrize("walk_class", list(WalkClass))
-def test_parallel_enumeration_matches_serial(
-    monkeypatch, walk_class, d, cutoff, split_depth
-):
+def test_frontier_tally_equals_the_recursive_search(case):
+    # blocks of 1-5 walks split every level the frontier extends
+    d, cutoff, block = case
     counting._canonical_counts.cache_clear()
-    serial = counting.enumerate_counts(d, cutoff, walk_class)
-    monkeypatch.setattr(counting, "SPLIT_DEPTH", split_depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "FRONTIER_BLOCK", block)
+        tally = counting._canonical_counts(d, cutoff)
     counting._canonical_counts.cache_clear()
-    parallel = counting.enumerate_counts(d, cutoff, walk_class, threads=3)
-    assert list(serial.counts) == list(parallel.counts)
-    for site in serial.counts:
-        assert np.array_equal(serial.counts[site], parallel.counts[site])
+    reference = oracles.canonical_counts_dfs(d, cutoff)
+    assert tally.dtype == reference.dtype and tally.shape == reference.shape
+    assert np.array_equal(tally, reference)
+
+
+@pytest.mark.parametrize("d, cutoff", [(2, 13), (4, 6)])
+def test_counting_holds_no_large_temporary(d, cutoff):
+    # the search may hold its tally and about 1 MB of blocks, children and
+    # keys: at d = 2, L = 13 (a 0.16 MB tally) blocks of 2^13 walks or a
+    # 2^16-key buffer exceed that, and at d = 4, L = 6 (a 3.2 MB tally) so
+    # does a tally-sized temporary per flush, such as np.bincount's
+    counting._canonical_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        tally = counting._canonical_counts(d, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tally.nbytes + 1.0e6
 
 
 def test_walks_and_bridges_share_one_search(searched_roots):
-    # one serial search starts once from each canonical root
+    # one search starts once from each canonical root
     # (0, e1, ..., k e1, k e1 + e2), k = 1..cutoff-1
     counting.enumerate_counts(2, 7, WalkClass.ALL)
     assert len(searched_roots) == len(set(searched_roots)) == 6
@@ -340,14 +356,14 @@ def test_cache_roundtrip(tmp_path):
         counting.load_count_table(empty)
 
 
-@pytest.mark.parametrize("threads,split_depth", [(1, counting.SPLIT_DEPTH), (2, 3)])
+@pytest.mark.parametrize("block", [counting.FRONTIER_BLOCK, 3])
 @pytest.mark.parametrize("d,cutoff,walk_class", list(GOLDEN_CACHE_SHA256))
 def test_cache_bytes_match_golden_digest(
-    monkeypatch, tmp_path, d, cutoff, walk_class, threads, split_depth
+    monkeypatch, tmp_path, d, cutoff, walk_class, block
 ):
-    monkeypatch.setattr(counting, "SPLIT_DEPTH", split_depth)
+    monkeypatch.setattr(counting, "FRONTIER_BLOCK", block)
     counting._canonical_counts.cache_clear()
-    table = counting.enumerate_counts(d, cutoff, walk_class, threads=threads)
+    table = counting.enumerate_counts(d, cutoff, walk_class)
     path = tmp_path / "table.bin"
     counting.save_count_table(table, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
