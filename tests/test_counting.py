@@ -356,7 +356,16 @@ def test_cache_roundtrip(tmp_path):
         counting.load_count_table(empty)
 
 
-@pytest.mark.parametrize("block", [counting.FRONTIER_BLOCK, 3])
+# the case ids are the ones these digests have long been recorded under:
+# "1-6" runs the default block, "2-3" a block of 3 walks that splits
+# every level of the frontier
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param(counting.FRONTIER_BLOCK, id="1-6"),
+        pytest.param(3, id="2-3"),
+    ],
+)
 @pytest.mark.parametrize("d,cutoff,walk_class", list(GOLDEN_CACHE_SHA256))
 def test_cache_bytes_match_golden_digest(
     monkeypatch, tmp_path, d, cutoff, walk_class, block
