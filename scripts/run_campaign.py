@@ -7,31 +7,27 @@ through unchanged, so e.g.
     python scripts/run_campaign.py --out runs/main --threads 8
     python scripts/run_campaign.py --L 9 --n 5,6 --replicas 500 --out /tmp/r
 
-The oracle stage only runs when the smallest configured span is small
-enough to enumerate exhaustively at the configured dimension (default 2);
-it is skipped otherwise.
+The oracle stage only runs when the smallest span of the resolved
+configuration (flags over the --config file over the defaults) is small
+enough to enumerate exhaustively at its dimension; it is skipped
+otherwise.
 """
 
 from __future__ import annotations
 
 import sys
 
-from sawbridge.cli import main
+from sawbridge.cli import build_parser, config_from_args, main
 from sawbridge.counting import EXHAUSTIVE_SPAN_CAP
-
-
-def flag_value(argv: list[str], flag: str) -> str | None:
-    for name, value in zip(argv, argv[1:]):
-        if name == flag:
-            return value
-    return None
 
 
 def run(argv: list[str]) -> int:
     stages = ["enumerate", "calibrate", "sample", "analyze"]
-    spans = [int(part) for part in (flag_value(argv, "--n") or "").split(",") if part]
-    cap = EXHAUSTIVE_SPAN_CAP.get(int(flag_value(argv, "--d") or 2), 0)
-    if spans and min(spans) <= cap:
+    try:
+        config = config_from_args(build_parser().parse_args(["oracle", *argv]))
+    except (ValueError, OSError):
+        config = None  # the first stage reports the error
+    if config is not None and min(config.spans) <= EXHAUSTIVE_SPAN_CAP[config.d]:
         stages.append("oracle")
     for stage in stages:
         print(f"== {stage} ==", flush=True)

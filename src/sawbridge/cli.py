@@ -247,15 +247,13 @@ def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
 def exhaustive_shrinking(beta: float) -> list[dict]:
     rows = []
     for n, cutoff in SHRINK_SPANS:
-        walks = sampler.ExhaustiveWalkSampler(2, n, cutoff)
-        steps = np.concatenate([np.full(len(w), w.shape[1] - 1) for w in walks.walks])
-        # weights and values in depth-first order, the order of their sums
-        weights = np.exp(-beta * steps[walks.order])
-        weights /= weights.sum()
-        values = stats.shrinking_statistic(walks.walks, n)[walks.order]
-        rows.append(
-            {"n": n, "mean": float(weights @ values), "max": float(values.max())}
-        )
+        walks = sampler.ExhaustiveWalkSampler(2, n, cutoff).walks
+        steps = np.concatenate([np.full(len(w), w.shape[1] - 1) for w in walks])
+        weights = np.exp(-beta * steps)
+        values = stats.shrinking_statistic(walks, n)
+        # exactly rounded sums, so the walks' order does not matter
+        mean = math.fsum(weights * values) / math.fsum(weights)
+        rows.append({"n": n, "mean": mean, "max": float(values.max())})
     return rows
 
 
@@ -424,19 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config a parsed command line describes: defaults, then the
+    --config file, then the other flags."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    file_payload = load_config_file(args.config) if args.config else None
+    return resolve_config(file_payload, flags)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "d", "beta", "cutoff", "spans", "replicas", "seed",
-            "grid", "threads", "out", "box_radius",
-        )
-    }
     try:
-        file_payload = load_config_file(args.config) if args.config else None
-        config = resolve_config(file_payload, overrides)
-        COMMANDS[args.command](config)
+        COMMANDS[args.command](config_from_args(args))
     except (LeakageError, ThresholdError) as err:
         print(f"threshold violation: {err}", file=sys.stderr)
         return EXIT_THRESHOLD

@@ -60,11 +60,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .lattice import FrameSplit, Site, require_walk, unit_steps
+from .lattice import FrameSplit, Site, unit_steps
 from .reporting import write_atomic
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
@@ -423,32 +423,13 @@ def knot_stacks(walks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield rows, walks[rows][mask[rows]].reshape(len(rows), count, -1)
 
 
-def bridge_skeleton(path: Sequence[Site]) -> tuple[FrameSplit, ...]:
-    """Increment sequence between consecutive knots of a bridge (see
-    `regeneration_knots`): the legs from the start to the first
-    regeneration site, between them, and from the last one to the
-    endpoint.  A single-site walk has an empty skeleton.
-    """
-    require_walk(path)
-    [(_, knots)] = knot_stacks(np.array([path]))
-    increments = np.diff(knots[0], axis=0).tolist()
-    return tuple(FrameSplit(t, tuple(y)) for t, *y in increments)
-
-
-def bridges_to_axis_point(
-    d: int, n: int, max_steps: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every bridge from the origin to (n, 0̃) with <= max_steps steps.
-
-    Returns them grouped by length, shortest first, as (walks, steps + 1,
-    d) site arrays, and the permutation of their concatenation into
-    depth-first order over `unit_steps`.  The search is the array frontier
-    over site codes on the box |x_i| <= max(n, max_steps).  A site is kept
-    inside the slab 1 <= x_1 <= n (as every bridge to the target is) and
-    within reach of the target.  A walk stops at the target, so no bridge
-    is a prefix of another: one lexsort of the step indices gives the
-    order.  Spans above EXHAUSTIVE_SPAN_CAP are refused.
-    """
+def bridges_to_axis_point(d: int, n: int, max_steps: int) -> Iterator[np.ndarray]:
+    """Every bridge from the origin to (n, 0̃) with <= max_steps steps, in
+    stacks of same-length walks, (walks, steps + 1, d) site arrays, each
+    yielded as the array frontier finds it.  Sites stay in the slab
+    1 <= x_1 <= n and within reach of the target, where a walk stops.  The
+    arguments are checked, and spans above EXHAUSTIVE_SPAN_CAP refused,
+    before the search starts."""
     check_dimension(d)
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
@@ -456,14 +437,16 @@ def bridges_to_axis_point(
     if n > cap:
         raise ValueError(f"exhaustive enumeration supports n <= {cap} at d = {d}, got {n}")
     # a walk to (n, 0̃) has n + 2j steps: a last step of the other parity is unusable
-    max_steps -= (max_steps - n) % 2
+    return _bridge_stacks(d, n, max_steps - (max_steps - n) % 2)
+
+
+def _bridge_stacks(d: int, n: int, max_steps: int) -> Iterator[np.ndarray]:
     radius = max(n, max_steps)
     base = 2 * radius + 1
     steps = _unit_codes(d, radius)
     origin = (base**d - 1) // 2
     dtype = np.int8 if radius < 127 else np.int64  # every coordinate fits
     powers = base ** np.arange(d, dtype=steps.dtype)
-    found: list[list[np.ndarray]] = [[] for _ in range(max(max_steps, 0) + 2)]
     blocks = [np.full((1, 1), origin, dtype=steps.dtype)]
     while blocks:
         walks = blocks.pop()
@@ -479,25 +462,28 @@ def bridges_to_axis_point(
         done = walks[:, -1] == origin + n
         if done.any():
             # decoded part by part, so only small temporaries are made
-            ends = walks[done, :, None] // powers % base - radius
-            found[depth].append(ends.astype(dtype))
+            yield (walks[done, :, None] // powers % base - radius).astype(dtype)
         walks = walks[~done]
         # depth first over blocks, so few blocks are held at once
         starts = reversed(range(0, len(walks), FRONTIER_BLOCK))
         blocks += [walks[i : i + FRONTIER_BLOCK] for i in starts]
-    found = [np.concatenate(part) for part in found if part]
-    if not found:
-        return [], np.zeros(0, dtype=np.intp)
-    # a unit step's base-3 digits (-1, 0 or 1 per axis) index its step index
-    digits = 3 ** np.arange(d, dtype=np.int8)
-    index_of = np.zeros(3**d, dtype=np.int8)
-    index_of[np.array(unit_steps(d), dtype=np.int8) @ digits] = np.arange(2 * d)
-    indices = np.zeros((sum(map(len, found)), found[-1].shape[1] - 1), dtype=np.int8)
-    at = np.cumsum([0] + [len(group) for group in found])
-    for start, group in zip(at.tolist(), found):
-        moves = np.diff(group, axis=1) @ digits
-        indices[start : start + len(group), : moves.shape[1]] = index_of[moves]
-    return found, np.lexsort(indices.T[::-1])
+
+
+def _row_items(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous array as one void item, for np.unique."""
+    flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+
+
+def length_law(rows: dict, cutoff: int, beta: float) -> dict:
+    """Probabilities from per-key count rows by length 0..cutoff: each
+    weight sum_N row[N] e^{-beta N} is one 1-D dot product, divided by the
+    math.fsum of all of them; keys come out sorted.  Both skeleton laws end
+    here, so equal rows give equal laws, bit for bit."""
+    w = length_weights(cutoff, beta)
+    weights = {k: float(row.astype(np.float64) @ w) for k, row in sorted(rows.items())}
+    total = math.fsum(weights.values())
+    return {key: weight / total for key, weight in weights.items()}
 
 
 def exact_conditioned_skeleton_law(
@@ -505,40 +491,42 @@ def exact_conditioned_skeleton_law(
 ) -> dict[tuple[FrameSplit, ...], float]:
     """Skeleton law of the length-weighted bridge ensemble pinned at (n, 0̃).
 
-    Enumerates every bridge to (n, 0̃) with at most `cutoff` steps, weights
-    it by e^{-beta * steps}, aggregates the weight by regeneration skeleton
-    in depth-first order and normalizes.  This is the exhaustive reference
-    law the renewal sampler is tested against.
+    Counts the bridges with at most `cutoff` steps by skeleton and length,
+    a stack at a time as the search yields them, for `length_law`.  A
+    bridge splits at its regeneration sites into irreducible legs one to
+    one, so these are the rows of `renewal.product_skeleton_law`.  This is
+    the exhaustive reference law the renewal sampler is tested against.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    groups, order = bridges_to_axis_point(d, n, cutoff)
-    if not groups:
+    ids: dict[bytes, int] = {}  # a skeleton's increments as bytes
+    skeletons: list[tuple[FrameSplit, ...]] = []
+    tallies = []
+    for walks in bridges_to_axis_point(d, n, cutoff):
+        for _, knots in knot_stacks(walks):
+            increments = np.diff(knots, axis=1)
+            keys, first, repeats = np.unique(
+                _row_items(increments), return_index=True, return_counts=True
+            )
+            at = np.array([ids.setdefault(key, len(ids)) for key in keys.tolist()])
+            tallies.append((at, walks.shape[1] - 1, repeats))
+            # the new skeletons, built from one FrameSplit per distinct leg
+            new = increments[first[at >= len(skeletons)]]
+            legs = new.reshape(-1, d)
+            _, one, leg_of = np.unique(
+                _row_items(legs), return_index=True, return_inverse=True
+            )
+            splits = [FrameSplit(t, tuple(y)) for t, *y in legs[one].tolist()]
+            for row in leg_of.reshape(new.shape[:2]).tolist():
+                skeletons.append(tuple(map(splits.__getitem__, row)))
+    if not skeletons:
         raise NoBridgesError(
             f"no bridge reaches ({n}, 0) within {cutoff} steps; need cutoff >= {n}"
         )
-    weight = [math.exp(-beta * steps) for steps in range(cutoff + 1)]
-    built: dict[bytes, tuple[FrameSplit, ...]] = {}
-    skeletons, lengths = [], []
-    for walks in groups:
-        keys = [()] * len(walks)
-        for rows, knots in knot_stacks(walks):
-            for row, increments in zip(rows.tolist(), np.diff(knots, axis=1)):
-                raw = increments.tobytes()
-                if raw not in built:
-                    built[raw] = tuple(
-                        FrameSplit(t, tuple(y)) for t, *y in increments.tolist()
-                    )
-                keys[row] = built[raw]
-        skeletons += keys
-        lengths += [walks.shape[1] - 1] * len(walks)
-    del built
-    weights: dict[tuple[FrameSplit, ...], float] = {}
-    for i in order.tolist():
-        weights[skeletons[i]] = weights.get(skeletons[i], 0.0) + weight[lengths[i]]
-    del skeletons, lengths
-    total = math.fsum(weights.values())
-    return {sk: weights[sk] / total for sk in sorted(weights)}
+    counts = np.zeros((len(skeletons), cutoff + 1), dtype=np.int64)
+    for at, length, repeats in tallies:
+        counts[at, length] += repeats
+    return length_law(dict(zip(skeletons, counts)), cutoff, beta)
 
 
 # ---------------------------------------------------------------------------

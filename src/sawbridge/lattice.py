@@ -9,7 +9,7 @@ displacement split that way.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,22 +51,3 @@ def self_avoiding(walks: np.ndarray) -> np.ndarray:
     codes = (walks.astype(np.int64) - walks[:, :1] + m) @ digits
     codes.sort(axis=1)
     return unit & (codes[:, 1:] != codes[:, :-1]).all(axis=1)
-
-
-def is_self_avoiding(sites: Sequence[Site]) -> bool:
-    """True iff consecutive sites are nearest neighbours and no site repeats.
-
-    A single site is trivially self-avoiding.  Raises on an empty sequence
-    because there is no zero-site walk.
-    """
-    if len(sites) == 0:
-        raise ValueError("a walk has at least one site")
-    return bool(self_avoiding(np.array([sites]))[0])
-
-
-def require_walk(sites: Sequence[Site]) -> None:
-    """Raise ValueError unless `sites` is a valid self-avoiding walk."""
-    if len(sites) and any(len(s) != len(sites[0]) for s in sites):
-        raise ValueError("sites have inconsistent dimension")
-    if not is_self_avoiding(sites):
-        raise ValueError("site sequence is not a self-avoiding walk")

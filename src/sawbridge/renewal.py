@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import CountTable, WalkClass, ZeroWeightError, length_weights
+from .counting import CountTable, WalkClass, ZeroWeightError, length_law, length_weights
 from .counting import evaluate_weight, mass_estimate
 from .lattice import FrameSplit
 
@@ -237,9 +237,10 @@ def product_skeleton_law(
     per-leg irreducible counts times e^{-beta * total}; equivalently the
     length-truncated product of irreducible weights.  Computed by a
     prefix-shared search over step sequences, convolving the per-leg count
-    rows along the way, then normalized.  Agrees exactly with the
-    exhaustive conditioned law: splitting a bridge at its regeneration
-    sites is a bijection.
+    rows along the way, then normalized by `counting.length_law`.  Agrees
+    bit for bit with the exhaustive conditioned law: splitting a bridge
+    at its regeneration sites is a bijection, so both laws weight the
+    same count rows.
     """
     _require_irreducible(irr_table)
     if beta <= 0:
@@ -247,7 +248,6 @@ def product_skeleton_law(
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
     width = irr_table.cutoff + 1
-    expw = length_weights(irr_table.cutoff, beta)
 
     steps: list[tuple[FrameSplit, np.ndarray, int]] = []
     for site, row in irr_table.counts.items():
@@ -257,7 +257,7 @@ def product_skeleton_law(
         if nz.size:
             steps.append((FrameSplit(site[0], tuple(site[1:])), row, int(nz[0])))
 
-    law: dict[tuple[FrameSplit, ...], float] = {}
+    law: dict[tuple[FrameSplit, ...], np.ndarray] = {}
     path: list[FrameSplit] = []
     start = np.zeros(width, dtype=np.int64)
     start[0] = 1
@@ -265,7 +265,7 @@ def product_skeleton_law(
     def rec(t_acc: int, y_acc: tuple[int, ...], min_used: int, poly: np.ndarray) -> None:
         if t_acc == n:
             if all(c == 0 for c in y_acc):
-                law[tuple(path)] = float(poly.astype(np.float64) @ expw)
+                law[tuple(path)] = poly
             return
         for step, row, min_len in steps:
             if t_acc + step.t > n:
@@ -283,8 +283,7 @@ def product_skeleton_law(
     rec(0, (0,) * (irr_table.d - 1), 0, start)
     if not law:
         raise ZeroWeightError(f"no skeleton reaches ({n}, 0̃) within the cutoff")
-    total = math.fsum(law[k] for k in sorted(law))
-    return {k: law[k] / total for k in sorted(law)}
+    return length_law(law, irr_table.cutoff, beta)
 
 
 # ---------------------------------------------------------------------------

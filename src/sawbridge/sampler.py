@@ -417,19 +417,12 @@ def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
 
 
 class ExhaustiveWalkSampler:
-    """Every bridge to (n, 0̃) within the step cutoff, by total enumeration.
-
-    `walks` (one site array per length) and `order` (their permutation
-    into depth-first order) are `bridges_to_axis_point`'s result.  The
-    full-walk law at inverse temperature beta weights each walk by
-    e^{-beta * steps}; callers apply those weights.  Spans above
-    `counting.EXHAUSTIVE_SPAN_CAP` are refused.
-    """
+    """Every bridge to (n, 0̃) within the step cutoff, by total enumeration:
+    `walks` lists the stacks of same-length walks `bridges_to_axis_point`
+    yields.  Callers apply the full-walk law's weights e^{-beta * steps}."""
 
     def __init__(self, d: int, n: int, cutoff: int):
         self.d, self.n, self.cutoff = d, n, cutoff
-        self.walks, self.order = bridges_to_axis_point(d, n, cutoff)
+        self.walks = list(bridges_to_axis_point(d, n, cutoff))
         if not self.walks:
-            raise NoBridgesError(
-                f"no bridge reaches ({n}, 0) within {cutoff} steps"
-            )
+            raise NoBridgesError(f"no bridge reaches ({n}, 0) within {cutoff} steps")

@@ -5,7 +5,7 @@ scans, dictionary recursions.  None of it shares code with the package
 modules, with two exceptions: exact_gap_fraction reuses the package's
 partition DP, which the tests check against composition_partition, and
 is itself checked against renewal_conditioned_law; batch_of only packs
-test skeletons into the package's SkeletonBatch, and paths_in_order only
+test skeletons into the package's SkeletonBatch, and paths_of only
 unpacks the package's array search into tuples.  Agreement between
 the two sides is the point of the tests.  per_step_slabs is the one
 numpy reference: the partition DP as one update per law step, whose
@@ -200,25 +200,10 @@ def canonical_counts_dfs(d: int, cutoff: int) -> np.ndarray:
     return counts
 
 
-def paths_in_order(walks, order) -> list[Path]:
-    """The walks of an array search (one site array per length) as tuples
-    of sites, permuted into the search's stated order."""
-    flat = [tuple(map(tuple, walk)) for group in walks for walk in group.tolist()]
-    return [flat[i] for i in order]
-
-
-def ordered_skeleton_law(
-    d: int, n: int, beta: float, max_steps: int
-) -> dict[tuple[tuple[int, tuple[int, ...]], ...], float]:
-    """The exact skeleton law as a per-walk sum: the weights e^{-beta N}
-    are added in the recursive search's order, keyed by (t, y) increment
-    pairs, and normalized by an exactly rounded sum over the sorted keys."""
-    weights: dict = {}
-    for path in iter_bridges_to_axis_point(d, n, max_steps):
-        sk = tuple((s[0], tuple(s[1:])) for s in naive_skeleton(path))
-        weights[sk] = weights.get(sk, 0.0) + math.exp(-beta * (len(path) - 1))
-    total = math.fsum(weights.values())
-    return {sk: weights[sk] / total for sk in sorted(weights)}
+def paths_of(stacks) -> list[Path]:
+    """The walks of an array search (stacks of same-length site arrays) as
+    tuples of sites, stack by stack."""
+    return [tuple(map(tuple, walk)) for stack in stacks for walk in stack.tolist()]
 
 
 def naive_skeleton(path: Sequence[Site]) -> tuple[Site, ...]:
@@ -236,6 +221,20 @@ def naive_skeleton(path: Sequence[Site]) -> tuple[Site, ...]:
     return tuple(
         tuple(q - p for p, q in zip(a, b)) for a, b in zip(marks, marks[1:])
     )
+
+
+def skeleton_count_rows(
+    d: int, n: int, max_steps: int
+) -> dict[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
+    """The bridges of the recursive search counted by skeleton and length:
+    one integer row per skeleton, keyed by (t, y) increment pairs, with
+    row[N] the number of N-step bridges to (n, 0) having that skeleton."""
+    rows: dict = {}
+    for path in iter_bridges_to_axis_point(d, n, max_steps):
+        sk = tuple((s[0], tuple(s[1:])) for s in naive_skeleton(path))
+        row = rows.setdefault(sk, np.zeros(max_steps + 1, dtype=np.int64))
+        row[len(path) - 1] += 1
+    return rows
 
 
 def naive_skeleton_law(

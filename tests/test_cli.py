@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from sawbridge import cli, counting, renewal, sampler, stats
 from sawbridge.reporting import (
     canonical_json,
@@ -387,6 +389,17 @@ def test_oracle_exact_match(pipeline_dir):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_laws_agree_bit_for_bit(tmp_path):
+    # a case where summing per-walk weights missed the product law by an ulp
+    args = ("--d", "2", "--L", "11", "--beta", "2.0", "--out", str(tmp_path))
+    assert run("enumerate", *args) == 0
+    assert run("oracle", *args, "--n", "3", "--replicas", "100") == 0
+    assert read_json_report(tmp_path / "oracle_n3.json")["max_abs_difference"] == 0.0
+    _, header, rows = read_csv_report(tmp_path / "oracle_law_n3.csv")
+    assert header[3] == "abs_diff" and rows
+    assert all(float(row[3]) == 0.0 for row in rows)
+
+
 def test_oracle_point_mass(pipeline_dir):
     args = ("--d", "2", "--L", "10", "--out", str(pipeline_dir),
             "--n", "1", "--replicas", "40")
@@ -404,8 +417,8 @@ def test_oracle_span_cap_exits_2(pipeline_dir):
 
 
 def test_oracle_above_the_d3_span_cap_exits_2(tmp_path, capsys):
-    # at d = 3 the exhaustive search is capped at n = 5: every bridge of a
-    # larger span would be held in memory at once
+    # at d = 3 the exhaustive search is capped at n = 5, and the cap is
+    # checked before the search or any output starts
     args = ("--d", "3", "--L", "7", "--out", str(tmp_path))
     assert run("enumerate", *args) == 0
     assert run("oracle", *args, "--n", "6", "--replicas", "100") == 2
@@ -596,11 +609,19 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_exhaustive_shrinking_rows_are_unchanged():
-    # the rows of the recursive search that built one skeleton per walk
-    assert repr(cli.exhaustive_shrinking(1.2)) == (
-        "[{'n': 4, 'mean': 0.13852511981749002, 'max': 0.447213595499958}, "
+    # the means are exactly rounded sums over the walks in any order; summed
+    # in the search's depth-first order, n = 4's was 0.13852511981749002
+    rows = cli.exhaustive_shrinking(1.2)
+    assert repr(rows) == (
+        "[{'n': 4, 'mean': 0.1385251198174901, 'max': 0.447213595499958}, "
         "{'n': 6, 'mean': 0.1350922933390161, 'max': 0.3086066999241838}]"
     )
+    for row, (n, cutoff) in zip(rows, cli.SHRINK_SPANS):
+        paths = oracles.naive_bridges_to(2, n, cutoff)
+        weights = np.exp(-1.2 * np.array([len(path) - 1 for path in paths]))
+        values = stats.shrinking_statistic(paths, n)
+        assert row["mean"] == math.fsum(weights * values) / math.fsum(weights)
+        assert row["max"] == values.max()
 
 
 def test_analyze_and_oracle_call_the_traced_exhaustive_layers(
@@ -630,7 +651,9 @@ def test_analyze_and_oracle_call_the_traced_exhaustive_layers(
 
 # sha256 of every file a small campaign writes, recorded before the
 # option and code-path deletions of the enumerate..oracle stages; a
-# refactor that keeps the stages' output must keep these bytes
+# refactor that keeps the stages' output must keep these bytes.  report.json
+# and shrink.csv were recorded again when the exhaustive shrinking mean
+# became an exactly rounded sum, which moved n = 4's by an ulp
 GOLDEN_ARTIFACT_SHA256 = {
     "counts_d2_L9_all.bin": "1a6a2c43767d14e6b9d0b7e37b26b131f138597f7644c91627dd3e034db63aa3",
     "counts_d2_L9_bridge.bin": "3ae2a5b2bcfc049f2a0ebb4a0fe1b9f0ffce28c909b4206c811d9eaf945d661e",
@@ -642,8 +665,8 @@ GOLDEN_ARTIFACT_SHA256 = {
     "oracle_n5.json": "39c289f1e8c7e086bbcb61d8955513d6da3ef2edd7ef63f85c808a264095864c",
     "process_n5.csv": "f36c15ba67bc1e08e28e8d5dcc49f5908d09eebd7c5c7159c450739991731dfc",
     "process_n6.csv": "8f4a4228141854f1d4592546453bbc605786cf71679e7128646c0a48eced4bc5",
-    "report.json": "fba8d8e04715b329acca46bc1a68c42145e2745461b5a6035cf3d6137a077b23",
-    "shrink.csv": "17e09a3de6999757dedf634c8cc58bfc7cf670ff6fda5e1079ff84a15fefde2f",
+    "report.json": "82dd2e199ed83809abaa9f6b38a33e0f8a2669df29d7eec9d29b6f51d224b6ed",
+    "shrink.csv": "ca689fb5f94f315f567efcb24f45ad5f3baad5eb06e5c404b035d5a6afbf8790",
     "skeletons_n5.csv": "3321681d2f14d7d4e1ddf17022d8d9374f712ad0f7c07f34e0214d4e00718f3a",
     "skeletons_n6.csv": "ab20eba8aaddd33f9cac39f05f300ba4e5eb63c0de55fc7119ce19fe22a2b2e4",
     "step_law_d2_L9.json": "0b38f8c27e29a2dacae0e8fd7c7722a9ed26ced5d15535e8582b3fcc538d7265",

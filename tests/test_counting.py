@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from sawbridge import counting
+from sawbridge import counting, renewal
 from sawbridge.counting import WalkClass
 from sawbridge.lattice import FrameSplit
 
@@ -196,18 +198,22 @@ def test_classify_matches_oracle_on_all_paths_to_ten_steps():
     checked = 0
     for paths in by_length.values():
         masks = counting.regeneration_knots(np.array(paths))
+        bridges = []
         for path, mask in zip(paths, masks):
             is_bridge, breaks, sites = read_knots(path, mask)
             assert is_bridge == oracles.naive_is_bridge(path)
             if is_bridge:
                 assert breaks == oracles.naive_break_points(path)
-                expected = tuple(
-                    FrameSplit(s[0], tuple(s[1:])) for s in oracles.naive_skeleton(path)
-                )
-                assert counting.bridge_skeleton(path) == (expected if len(path) > 1 else ())
+                bridges.append(path)
             else:
                 assert not mask.any()
             checked += 1
+        # the knots' increments are the skeleton; one site has none
+        for rows, knots in counting.knot_stacks(np.array(bridges)):
+            for row, increments in zip(rows, np.diff(knots, axis=1).tolist()):
+                path = bridges[row]
+                expected = oracles.naive_skeleton(path) if len(path) > 1 else ()
+                assert tuple(map(tuple, increments)) == expected
     assert checked == sum(C_SQUARE[:11])
 
 
@@ -219,14 +225,17 @@ def test_classify_matches_oracle_random_d3(path):
         assert breaks == oracles.naive_break_points(path)
 
 
+def skeleton_of(path) -> list[list[int]]:
+    [(_, knots)] = counting.knot_stacks(np.array([path]))
+    return np.diff(knots[0], axis=0).tolist()
+
+
 def test_skeleton_increments_sum_to_displacement():
     path = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (2, 2), (3, 2)]
-    sk = counting.bridge_skeleton(path)
-    assert sum(s.t for s in sk) == 3
-    assert tuple(sum(c) for c in zip(*[s.y for s in sk])) == (2,)
-    assert counting.bridge_skeleton([(0, 0)]) == ()
-    with pytest.raises(ValueError):
-        counting.bridge_skeleton([(0, 0), (0, 1)])
+    assert np.sum(skeleton_of(path), axis=0).tolist() == [3, 2]
+    assert skeleton_of([(0, 0)]) == []
+    with pytest.raises(ValueError, match="only for bridges"):
+        skeleton_of([(0, 0), (0, 1)])
 
 
 def table_rows(table: counting.CountTable) -> dict[tuple[int, ...], list[int]]:
@@ -402,8 +411,7 @@ def test_cache_rewrite_is_byte_identical(tmp_path):
     ],
 )
 def test_bridge_enumeration_to_axis_point_matches_oracle(d, n, max_steps):
-    walks, order = counting.bridges_to_axis_point(d, n, max_steps)
-    ours = oracles.paths_in_order(walks, order)
+    ours = oracles.paths_of(counting.bridges_to_axis_point(d, n, max_steps))
     theirs = set(oracles.naive_bridges_to(d, n, max_steps))
     assert len(ours) == len(theirs)
     assert set(ours) == theirs
@@ -421,39 +429,70 @@ def test_bridge_enumeration_to_axis_point_matches_oracle(d, n, max_steps):
 def test_array_search_repeats_the_recursive_search(case):
     # spans and budgets of both parities; an odd budget surplus is unusable
     d, n, surplus = case
-    walks, order = counting.bridges_to_axis_point(d, n, n + surplus)
-    assert [w.shape[1] for w in walks] == sorted({w.shape[1] for w in walks})
-    paths = oracles.paths_in_order(walks, order)
-    assert paths == list(oracles.iter_bridges_to_axis_point(d, n, n + surplus))
+    stacks = list(counting.bridges_to_axis_point(d, n, n + surplus))
+    paths = oracles.paths_of(stacks)
+    reference = list(oracles.iter_bridges_to_axis_point(d, n, n + surplus))
+    assert Counter(paths) == Counter(reference)
     # each walk's array skeleton is its skeleton
-    at = np.cumsum([0] + [len(w) for w in walks])
-    rank = np.argsort(order)
-    for start, group in zip(at, walks):
-        for rows, knots in counting.knot_stacks(group):
+    for stack in stacks:
+        for rows, knots in counting.knot_stacks(stack):
             for row, increments in zip(rows, np.diff(knots, axis=1).tolist()):
-                path = paths[rank[start + row]]
-                assert tuple(map(tuple, group[row].tolist())) == path
-                expected = oracles.naive_skeleton(path)
-                assert tuple(map(tuple, increments)) == expected
-                assert counting.bridge_skeleton(path) == tuple(
-                    FrameSplit(t, tuple(y)) for t, *y in expected
-                )
+                path = tuple(map(tuple, stack[row].tolist()))
+                assert tuple(map(tuple, increments)) == oracles.naive_skeleton(path)
 
 
 @pytest.mark.parametrize("d, n, max_steps", [(2, 5, 11), (3, 3, 7), (4, 2, 6)])
-def test_array_search_in_small_blocks_keeps_the_order(monkeypatch, d, n, max_steps):
+def test_array_search_in_small_blocks_finds_the_same_bridges(
+    monkeypatch, d, n, max_steps
+):
     # levels wider than a block are extended block by block, depth first
     monkeypatch.setattr(counting, "FRONTIER_BLOCK", 3)
-    walks, order = counting.bridges_to_axis_point(d, n, max_steps)
-    reference = list(oracles.iter_bridges_to_axis_point(d, n, max_steps))
-    assert oracles.paths_in_order(walks, order) == reference
+    paths = oracles.paths_of(counting.bridges_to_axis_point(d, n, max_steps))
+    reference = oracles.iter_bridges_to_axis_point(d, n, max_steps)
+    assert Counter(paths) == Counter(reference)
+
+
+def test_bridge_search_checks_its_arguments_when_called():
+    # the search is lazy; its argument errors are not
+    with pytest.raises(ValueError, match="n <= 5 at d = 3"):
+        counting.bridges_to_axis_point(3, 6, 14)
+    with pytest.raises(ValueError, match="axis distance"):
+        counting.bridges_to_axis_point(2, 0, 4)
+
+
+@lru_cache(maxsize=None)
+def irreducible_table(d: int, cutoff: int) -> counting.CountTable:
+    return counting.enumerate_counts(d, cutoff, WalkClass.IRREDUCIBLE_BRIDGE)
+
+
+@given(
+    st.sampled_from([(2, 13), (3, 9), (4, 7)]).flatmap(
+        lambda dims: st.integers(1, counting.EXHAUSTIVE_SPAN_CAP[dims[0]]).flatmap(
+            lambda n: st.tuples(
+                st.just(dims[0]),
+                st.just(n),
+                st.integers(n, max(n, dims[1])),
+                st.sampled_from([0.9, 1.2, 2.0]),
+            )
+        )
+    )
+)
+def test_exact_law_equals_the_product_law(case):
+    # a bridge splits at its regeneration sites into irreducible legs, one
+    # to one, so both laws weight the same count rows: equal bit for bit
+    d, n, cutoff, beta = case
+    exact = counting.exact_conditioned_skeleton_law(d, n, beta, cutoff)
+    product = renewal.product_skeleton_law(irreducible_table(d, cutoff), beta, n)
+    assert list(exact.items()) == list(product.items())
 
 
 @pytest.mark.parametrize("d, n, cutoff", [(2, 5, 9), (2, 5, 10), (3, 3, 7)])
 def test_exact_law_equals_the_ordered_reference(d, n, cutoff):
-    # the same weights summed in the same order: equal bit for bit
+    # the recursive search's bridges, counted by skeleton and length, are
+    # the array search's count rows: weighted alike, equal bit for bit
     law = counting.exact_conditioned_skeleton_law(d, n, 1.2, cutoff)
-    reference = oracles.ordered_skeleton_law(d, n, 1.2, cutoff)
+    rows = oracles.skeleton_count_rows(d, n, cutoff)
+    reference = counting.length_law(rows, cutoff, 1.2)
     assert list(law.items()) == list(reference.items())
 
 
@@ -469,6 +508,19 @@ def test_exact_law_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+def test_exact_law_does_not_hold_every_bridge():
+    # the 49837 bridges to (4, 0, 0, 0) within 10 steps, held all at once as
+    # one site array per length, peaked at 13.2 MB here; counted a stack at
+    # a time as the search yields them, 5.3 MB
+    tracemalloc.start()
+    try:
+        counting.exact_conditioned_skeleton_law(4, 4, 1.2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6
 
 
 def test_exact_law_ignores_unusable_parity_step():

@@ -40,31 +40,27 @@ def test_unit_steps_rejects_bad_dimension():
         lattice.unit_steps(0)
 
 
+def is_self_avoiding(path) -> bool:
+    return bool(lattice.self_avoiding(np.array([path]))[0])
+
+
 def test_is_self_avoiding_basics():
-    assert lattice.is_self_avoiding([(0, 0)])
-    assert lattice.is_self_avoiding([(0, 0), (1, 0), (1, 1)])
+    assert is_self_avoiding([(0, 0)])
+    assert is_self_avoiding([(0, 0), (1, 0), (1, 1)])
     # revisit
-    assert not lattice.is_self_avoiding([(0, 0), (1, 0), (0, 0)])
+    assert not is_self_avoiding([(0, 0), (1, 0), (0, 0)])
     # non-unit jump
-    assert not lattice.is_self_avoiding([(0, 0), (2, 0)])
-    with pytest.raises(ValueError):
-        lattice.is_self_avoiding([])
-
-
-def test_require_walk_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        lattice.require_walk([(0, 0), (1, 0, 0)])
+    assert not is_self_avoiding([(0, 0), (2, 0)])
 
 
 @given(walk_strategy(2))
 def test_generated_walks_are_self_avoiding(path):
-    assert lattice.is_self_avoiding(path)
-    lattice.require_walk(path)
+    assert is_self_avoiding(path)
 
 
 @given(walk_strategy(3, max_steps=8))
 def test_generated_walks_are_self_avoiding_d3(path):
-    assert lattice.is_self_avoiding(path)
+    assert is_self_avoiding(path)
 
 
 def test_self_avoiding_checks_each_row_of_a_stack():

@@ -51,3 +51,14 @@ def test_campaign_script_runs_every_stage(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "== oracle ==" in result.stdout
+
+
+def test_campaign_script_reads_spans_from_the_config_file(tmp_path):
+    config = tmp_path / "campaign.json"
+    config.write_text('{"d": 2, "cutoff": 7, "spans": [5], "replicas": 200}')
+    result = run_script(
+        "run_campaign.py", "--config", str(config), "--out", str(tmp_path / "out")
+    )
+    assert result.returncode == 0, result.stderr
+    assert "== oracle ==" in result.stdout
+    assert (tmp_path / "out" / "oracle_n5.json").exists()

@@ -20,7 +20,8 @@ from oracles import (
     classic_ks_statistic,
     exact_gap_fraction,
     longer_than_cube_root,
-    paths_in_order,
+    naive_skeleton,
+    paths_of,
     renewal_conditioned_law,
 )
 
@@ -334,7 +335,8 @@ def test_shrinking_single_step_walk_is_zero():
 def test_shrinking_tent_walk_exact_value():
     # scaled walk vertices sit 1/sqrt(6) away from the two tent segments
     walk = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0))
-    assert counting.bridge_skeleton(walk) == (FrameSplit(1, (1,)), FrameSplit(1, (-1,)))
+    [(_, knots)] = counting.knot_stacks(np.array([walk]))
+    assert knots[0].tolist() == [[0, 0], [1, 1], [2, 0]]
     value = stats.shrinking_statistic([walk], 2)[0]
     assert value == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
 
@@ -350,7 +352,7 @@ def shrinking_one_walk(walk, n: int) -> float:
     grouped arithmetic of shrinking_statistic must equal bit for bit."""
     scale = np.array([n] + [math.sqrt(n)] * (len(walk[0]) - 1))
     points = np.asarray(walk, dtype=np.float64) / scale
-    increments = [(s.t, *s.y) for s in counting.bridge_skeleton(walk)]
+    increments = naive_skeleton(walk)
     knots = np.vstack((np.zeros(len(walk[0])), np.cumsum(increments, axis=0))) / scale
     starts, spans = knots[:-1], knots[1:] - knots[:-1]
     lengths2 = np.einsum("sd,sd->s", spans, spans)
@@ -363,13 +365,13 @@ def shrinking_one_walk(walk, n: int) -> float:
 @pytest.mark.parametrize("d, n, cutoff", [(2, 4, 10), (3, 3, 5)])
 def test_shrinking_of_many_walks_equals_each_walk_alone(d, n, cutoff):
     walks = sampler.ExhaustiveWalkSampler(d, n, cutoff)
-    paths = paths_in_order(walks.walks, walks.order)
-    assert len({(len(p), len(counting.bridge_skeleton(p))) for p in paths}) > 1
+    paths = paths_of(walks.walks)
+    assert len({(len(p), len(naive_skeleton(p))) for p in paths}) > 1
     values = stats.shrinking_statistic(walks.walks, n)
     assert values.dtype == np.float64
-    assert values[walks.order].tolist() == [shrinking_one_walk(p, n) for p in paths]
+    assert values.tolist() == [shrinking_one_walk(p, n) for p in paths]
     # walks given one by one are measured alike
-    assert stats.shrinking_statistic(paths, n).tolist() == values[walks.order].tolist()
+    assert stats.shrinking_statistic(paths, n).tolist() == values.tolist()
 
 
 @pytest.mark.parametrize(
