@@ -94,6 +94,7 @@ def process_path(config: ExperimentConfig, n: int) -> Path:
 
 
 def cmd_enumerate(config: ExperimentConfig) -> None:
+    """Count walks, bridges and irreducible bridges; write the count caches."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     tables = {
@@ -124,6 +125,7 @@ def cmd_enumerate(config: ExperimentConfig) -> None:
 
 
 def cmd_calibrate(config: ExperimentConfig) -> None:
+    """Calibrate the tilted step law from the irreducible count cache."""
     irr_table = load_irreducible_table(config)
     m_hat = renewal.calibrate_mass(irr_table, config.beta)
     law = renewal.build_step_law(irr_table, config.beta, m_hat)
@@ -184,6 +186,7 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
 
 
 def cmd_sample(config: ExperimentConfig) -> None:
+    """Sample pinned skeletons at each span; write skeleton and process CSVs."""
     law, digest = load_law(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,6 +261,7 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
 
 
 def cmd_analyze(config: ExperimentConfig) -> None:
+    """Fit and test the sampled skeletons against the Brownian bridge."""
     ensembles: dict[int, sampler.SkeletonBatch] = {}
     digests = set()
     for n in config.spans:
@@ -310,6 +314,7 @@ def encode_skeleton(increments: tuple[FrameSplit, ...]) -> str:
 
 
 def cmd_oracle(config: ExperimentConfig) -> None:
+    """Check the product law, exhaustive law and sampler at the smallest span."""
     n = min(config.spans)
     irr_table = load_irreducible_table(config)
     exact = counting.exact_conditioned_skeleton_law(

@@ -75,6 +75,9 @@ _GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
 NODE_BUDGET = 5e10
 # partial walks a search extends at once (a whole d = 2 bridge level)
 FRONTIER_BLOCK = 2**11
+# cells one array pass holds at once: the partition DP's slab sum and block
+# of law steps' windows, or the product law's (step sequence, step) pairs
+BLOCK_CELLS = 2**18
 # largest span whose bridges `bridges_to_axis_point` enumerates, by dimension
 EXHAUSTIVE_SPAN_CAP = {2: 6, 3: 5, 4: 4}
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import CountTable, WalkClass, ZeroWeightError, length_law, length_weights
-from .counting import evaluate_weight, mass_estimate
+from .counting import BLOCK_CELLS, CountTable, WalkClass, ZeroWeightError, length_law
+from .counting import evaluate_weight, length_weights, mass_estimate
 from .lattice import FrameSplit
 
 NORMALIZATION_TOL = 1e-10
@@ -235,55 +235,59 @@ def product_skeleton_law(
     The weight of a skeleton (x_1..x_k) with sum (n, 0̃) is the sum over
     per-leg walk lengths M_1..M_k with total <= cutoff of the product of
     per-leg irreducible counts times e^{-beta * total}; equivalently the
-    length-truncated product of irreducible weights.  Computed by a
-    prefix-shared search over step sequences, convolving the per-leg count
-    rows along the way, then normalized by `counting.length_law`.  Agrees
-    bit for bit with the exhaustive conditioned law: splitting a bridge
-    at its regeneration sites is a bijection, so both laws weight the
-    same count rows.
+    length-truncated product of irreducible weights.  Computed by an array
+    search over step sequences, rows of (step indices, t, y, the legs'
+    shortest length, count row) extended by every step at once, depth
+    first in blocks of at most BLOCK_CELLS (sequence, step) pairs; the
+    rows reaching (n, 0̃) are normalized by `counting.length_law`.  Agrees
+    bit for bit with the exhaustive conditioned law: splitting a bridge at
+    its regeneration sites is a bijection, so both laws weight the same
+    count rows.
     """
     _require_irreducible(irr_table)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
-    width = irr_table.cutoff + 1
-
-    steps: list[tuple[FrameSplit, np.ndarray, int]] = []
-    for site, row in irr_table.counts.items():
-        if not 1 <= site[0] <= n:
-            continue
-        nz = np.flatnonzero(row)
-        if nz.size:
-            steps.append((FrameSplit(site[0], tuple(site[1:])), row, int(nz[0])))
+    cutoff, width = irr_table.cutoff, irr_table.cutoff + 1
+    sites = [s for s, row in irr_table.counts.items() if 1 <= s[0] <= n and row.any()]
+    splits = [FrameSplit(s[0], tuple(s[1:])) for s in sites]
+    rows = np.array([irr_table.counts[s] for s in sites], dtype=np.int64).reshape(-1, width)
+    coords = np.array(sites, dtype=np.int64).reshape(-1, irr_table.d)
+    step_t, step_y, min_len = coords[:, 0], coords[:, 1:], (rows > 0).argmax(axis=1)
+    block = max(1, BLOCK_CELLS // max(1, len(sites)))
 
     law: dict[tuple[FrameSplit, ...], np.ndarray] = {}
-    path: list[FrameSplit] = []
-    start = np.zeros(width, dtype=np.int64)
-    start[0] = 1
-
-    def rec(t_acc: int, y_acc: tuple[int, ...], min_used: int, poly: np.ndarray) -> None:
-        if t_acc == n:
-            if all(c == 0 for c in y_acc):
-                law[tuple(path)] = poly
-            return
-        for step, row, min_len in steps:
-            if t_acc + step.t > n:
-                continue
-            ny = tuple(a + b for a, b in zip(y_acc, step.y))
-            # cheapest possible completion: advance the axis the rest of the
-            # way and walk the transverse offset back to zero
-            rest = (n - t_acc - step.t) + sum(abs(c) for c in ny)
-            if min_used + min_len + rest > irr_table.cutoff:
-                continue
-            path.append(step)
-            rec(t_acc + step.t, ny, min_used + min_len, np.convolve(poly, row)[:width])
-            path.pop()
-
-    rec(0, (0,) * (irr_table.d - 1), 0, start)
+    # the empty sequence: no steps, t = 0, y = 0̃, no length, the unit row
+    zero = np.zeros((1, irr_table.d), dtype=np.int64)
+    unit = np.eye(1, width, dtype=np.int64)
+    blocks = [(zero[:, :0], zero[:, 0], zero[:, 1:], zero[:, 0], unit)]
+    while blocks:
+        path, t, y, used, poly = blocks.pop()
+        # cut each (sequence, step) pair whose cheapest completion, the rest
+        # of the axis and the transverse offset back to zero, overruns
+        cost = np.abs(y[:, None] + step_y).sum(axis=2)
+        cost += (used - t)[:, None] + (min_len - step_t)
+        parent, step = np.nonzero((t[:, None] + step_t <= n) & (cost <= cutoff - n))
+        # the truncated convolution, shift and add over the parents' lags
+        head, tail = poly[parent], rows[step]
+        poly = np.zeros_like(head)
+        for lag in range(int(used.min()), width):
+            poly[:, lag:] += head[:, lag, None] * tail[:, : width - lag]
+        path = np.column_stack((path[parent], step))
+        t, y = t[parent] + step_t[step], y[parent] + step_y[step]
+        used = used[parent] + min_len[step]
+        done = t == n
+        pinned = np.flatnonzero(done & ~y.any(axis=1))
+        for key, row in zip(path[pinned].tolist(), poly[pinned]):
+            law[tuple(map(splits.__getitem__, key))] = row
+        live = np.flatnonzero(~done)
+        for i in reversed(range(0, len(live), block)):
+            at = live[i : i + block]
+            blocks.append((path[at], t[at], y[at], used[at], poly[at]))
     if not law:
         raise ZeroWeightError(f"no skeleton reaches ({n}, 0̃) within the cutoff")
-    return length_law(law, irr_table.cutoff, beta)
+    return length_law(law, cutoff, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ construction cost is spread over many draws.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,12 +36,18 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 
 
-def _key_bytes(seed: int, replicate: int) -> bytes:
-    return hashlib.sha256(f"{seed}:{replicate}".encode()).digest()[:16]
+def _key_bytes(seed: int, replicates: Sequence[int]) -> bytes:
+    """The replicates' 16-byte stream keys, concatenated, each hashed on
+    from one copy of the hashed "{seed}:" prefix."""
+    prefix = hashlib.sha256(b"%d:" % seed)
+    states = [prefix.copy() for _ in replicates]
+    for state, replicate in zip(states, replicates):
+        state.update(b"%d" % replicate)
+    return b"".join([state.digest()[:16] for state in states])
 
 
 def stream_key(seed: int, replicate: int) -> int:
-    return int.from_bytes(_key_bytes(seed, replicate), "little")
+    return int.from_bytes(_key_bytes(seed, [replicate]), "little")
 
 
 def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
@@ -83,10 +90,10 @@ def _philox_uniforms(keys: np.ndarray, draws: int) -> np.ndarray:
     return (words[:, :draws] >> np.uint64(11)) * 2.0**-53
 
 
-def uniform_block(seed: int, replicates: list[int], draws: int) -> np.ndarray:
+def uniform_block(seed: int, replicates: Sequence[int], draws: int) -> np.ndarray:
     """Leading uniforms of many replicate streams, one row per replicate."""
     if draws <= VECTOR_MAX_DRAWS:
-        raw = b"".join(_key_bytes(seed, rep) for rep in replicates)
+        raw = _key_bytes(seed, replicates)
         return _philox_uniforms(np.frombuffer(raw, dtype="<u8").reshape(-1, 2), draws)
     out = np.empty((len(replicates), draws), dtype=np.float64)
     for i, rep in enumerate(replicates):

@@ -43,7 +43,7 @@ from itertools import pairwise, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .counting import NoBridgesError, bridges_to_axis_point
+from .counting import BLOCK_CELLS, NoBridgesError, bridges_to_axis_point
 from .lattice import FrameSplit, Site
 from .renewal import StepLaw
 from .rng import uniform_block
@@ -51,9 +51,6 @@ from .rng import uniform_block
 MAX_LEAKAGE = 1e-6
 # replicates per backward-sampling batch, and per pool task when threaded
 BATCH_SIZE = 4096
-# cells the partition DP's sum holds at once: the running sum of a slab's
-# box and one gathered block of law steps' windows
-BLOCK_CELLS = 2**18
 
 
 class BoxTooSmallError(ValueError):

@@ -237,6 +237,51 @@ def skeleton_count_rows(
     return rows
 
 
+def product_law_reference(
+    counts: dict[Site, np.ndarray], cutoff: int, n: int
+) -> dict[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
+    """The renewal product formula's count rows, by a prefix-shared
+    recursion over step sequences: one integer row per skeleton to (n, 0),
+    keyed by (t, y) increment pairs, with row[N] the number of ways to pick
+    one irreducible bridge per leg with N steps in all (N <= cutoff).
+
+    `counts` is an irreducible table's endpoint rows.  A branch is cut when
+    its legs' shortest lengths plus the cheapest completion (the rest of
+    the axis, then the transverse offset back to zero) exceed the cutoff.
+    """
+    width = cutoff + 1
+    steps = []
+    for site, row in counts.items():
+        nz = np.flatnonzero(row)
+        if 1 <= site[0] <= n and nz.size:
+            steps.append(((site[0], tuple(site[1:])), row, int(nz[0])))
+
+    rows: dict = {}
+    path: list[tuple[int, tuple[int, ...]]] = []
+
+    def rec(t_acc: int, y_acc: tuple[int, ...], min_used: int, poly: np.ndarray) -> None:
+        if t_acc == n:
+            if all(c == 0 for c in y_acc):
+                rows[tuple(path)] = poly
+            return
+        for step, row, min_len in steps:
+            if t_acc + step[0] > n:
+                continue
+            ny = tuple(a + b for a, b in zip(y_acc, step[1]))
+            rest = (n - t_acc - step[0]) + sum(abs(c) for c in ny)
+            if min_used + min_len + rest > cutoff:
+                continue
+            path.append(step)
+            rec(t_acc + step[0], ny, min_used + min_len, np.convolve(poly, row)[:width])
+            path.pop()
+
+    start = np.zeros(width, dtype=np.int64)
+    start[0] = 1
+    d = len(next(iter(counts)))
+    rec(0, (0,) * (d - 1), 0, start)
+    return rows
+
+
 def naive_skeleton_law(
     d: int, n: int, beta: float, max_steps: int
 ) -> dict[tuple[Site, ...], float]:

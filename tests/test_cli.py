@@ -598,6 +598,16 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "totals_d2_L1.csv").exists()
 
 
+def test_help_describes_every_stage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("--help")
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, handler in cli.COMMANDS.items():
+        assert handler.__doc__, name
+        assert f"{name} {' '.join(handler.__doc__.split())}" in text
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # the pool module is imported only where a stage runs more than one worker
     code = "import sys, sawbridge.cli; print('concurrent.futures.process' in sys.modules)"

@@ -188,3 +188,24 @@ def test_product_law_matches_exhaustive_law(n, cutoff):
     exact = counting.exact_conditioned_skeleton_law(2, n, 1.2, cutoff)
     # the same count rows, weighted by the same arithmetic: equal bit for bit
     assert list(product.items()) == list(exact.items())
+
+
+@pytest.mark.parametrize("beta, n", [(0.0, 3), (-1.2, 3), (1.2, 0), (1.2, -2)])
+def test_product_law_rejects_bad_arguments(beta, n):
+    irr = counting.enumerate_counts(2, 6, WalkClass.IRREDUCIBLE_BRIDGE)
+    with pytest.raises(ValueError, match="beta must be positive|axis distance"):
+        renewal.product_skeleton_law(irr, beta, n)
+
+
+def test_product_law_requires_an_irreducible_table():
+    bridges = counting.enumerate_counts(2, 6, WalkClass.BRIDGE)
+    with pytest.raises(ValueError, match="irreducible-bridge table"):
+        renewal.product_skeleton_law(bridges, 1.2, 3)
+
+
+def test_product_law_beyond_the_cutoffs_reach_is_empty():
+    # a skeleton to (5, 0) needs at least 5 steps: none fits a cutoff of 4,
+    # so the search prunes its first level to nothing
+    irr = counting.enumerate_counts(2, 4, WalkClass.IRREDUCIBLE_BRIDGE)
+    with pytest.raises(counting.ZeroWeightError, match=r"\(5, 0̃\)"):
+        renewal.product_skeleton_law(irr, 1.2, 5)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,21 @@ def test_uniform_block_rows_follow_a_non_contiguous_replicate_list(draws):
     assert np.array_equal(got, reference_block(9, replicates, draws))
     assert np.array_equal(got[1], got[2])
     assert np.array_equal(got[0], uniform_block(9, [42], draws)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
+def test_stream_keys_follow_the_stated_rule(seed):
+    # the key of a stream is the low 128 bits, little-endian, of SHA-256
+    # over "{seed}:{replicate}", for single keys and for whole blocks alike
+    replicates = [0, 9, 9, 10**9]
+    keys = [
+        int.from_bytes(hashlib.sha256(f"{seed}:{rep}".encode()).digest()[:16], "little")
+        for rep in replicates
+    ]
+    assert [stream_key(seed, rep) for rep in replicates] == keys
+    for draws in (5, VECTOR_MAX_DRAWS + 1):
+        rows = [np.random.Generator(np.random.Philox(key=k)).random(draws) for k in keys]
+        assert np.array_equal(uniform_block(seed, replicates, draws), np.array(rows))
 
 
 def test_key_with_top_bit_set():
