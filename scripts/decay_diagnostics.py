@@ -35,11 +35,8 @@ def main() -> int:
 
     tables = {
         walk_class: counting.enumerate_counts(args.d, args.L, walk_class)
-        for walk_class in (counting.WalkClass.ALL, counting.WalkClass.BRIDGE)
+        for walk_class in counting.WalkClass
     }
-    tables[counting.WalkClass.IRREDUCIBLE_BRIDGE] = counting.irreducible_counts(
-        tables[counting.WalkClass.BRIDGE]
-    )
     gap = renewal.mass_gap_diagnostic(
         tables[counting.WalkClass.BRIDGE],
         tables[counting.WalkClass.IRREDUCIBLE_BRIDGE],

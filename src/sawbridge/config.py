@@ -87,16 +87,37 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
+# each field's type as its flag parses it; [t] is a list of t
+_FIELD_TYPES = {
+    "d": int, "beta": float, "cutoff": int, "spans": [int], "replicas": int,
+    "seed": int, "grid": [float], "box_radius": int, "out": str, "threads": int,
+}
+# the JSON values each type takes: a float also takes an integer
+_ACCEPTS = {int: int, float: (int, float), str: str, list: (list, tuple)}
+_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _checked(name: str, kind: type, value):
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise ConfigError(f"config field {name!r} must be {_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
+    """The config a payload describes, each value checked and coerced to
+    its field's type as the flags would give it; box_radius may be null."""
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    coerced = dict(payload)
-    if "spans" in coerced:
-        coerced["spans"] = tuple(int(n) for n in coerced["spans"])
-    if "grid" in coerced:
-        coerced["grid"] = tuple(float(t) for t in coerced["grid"])
+    coerced = {}
+    for name, value in payload.items():
+        kind = _FIELD_TYPES[name]
+        if isinstance(kind, list):
+            value = tuple(_checked(name, kind[0], v) for v in _checked(name, list, value))
+        elif not (name == "box_radius" and value is None):
+            value = _checked(name, kind, value)
+        coerced[name] = value
     return ExperimentConfig(**coerced)
 
 

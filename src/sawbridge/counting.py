@@ -14,12 +14,11 @@ Three walk classes are tabulated:
 * IRREDUCIBLE_BRIDGE: a bridge none of whose interior levels k splits it
   into "everything <= k, then everything > k".
 
-ALL and BRIDGE are counted by one search over the walks: a bridge is a
-walk that stays at level >= 1 and ends at its running maximum, so each
-walk is tallied as a walk and, when it is one, as a bridge.
-IRREDUCIBLE_BRIDGE is not searched: a bridge splits uniquely at its break
-levels into irreducible ones, so its table is solved exactly from the
-bridge table by renewal deconvolution (`irreducible_counts`).
+All three are counted by one search over the walks: a bridge is a walk
+that stays at level >= 1 and ends at its running maximum, and level k is
+a break of a bridge iff no step goes down from k + 1 to k (the rule of
+`regeneration_knots`).  So each walk is tallied as a walk and, when it is
+one, as a bridge and as an irreducible bridge.
 
 Signed axis permutations map walks onto walks, so the search visits only
 canonical walks: first step +e1, and first step off the e1 axis (the
@@ -44,10 +43,10 @@ steps back.
 
 Every table passes through one dense int64 grid over the box |x_i| <= L
 and the lengths 0..L (L the cutoff), and a code is a site's flat index in
-it.  The search adds each walk into a (code, length) tally; a class's
-grid is its half of that tally plus one np.flip and transpose per orbit
-map.  The deconvolution runs on the same grid, and `counts` holds its
-nonzero rows, endpoint-sorted.
+it.  The search adds each walk into a (code, length) tally of three
+parts; a class's grid is its part of that tally plus one np.flip and
+transpose per orbit map, and `counts` holds its nonzero rows,
+endpoint-sorted.
 """
 
 from __future__ import annotations
@@ -195,25 +194,27 @@ def _rebuild_table(
 ) -> dict[Site, np.ndarray]:
     """Endpoint-sorted table of the class from its canonical-walk tally.
 
-    The tally's half for the class (ALL first, BRIDGE second) fills a grid
-    that each orbit map carries onto its walks; the straight walks, which
-    have no first turn, are added once each.
+    The tally's part for the class (in WalkClass order) fills a grid that
+    each orbit map carries onto its walks; the straight walks, which have
+    no first turn, are added once each.
     """
     width = cutoff + 1
-    lo = 0 if walk_class is WalkClass.ALL else width
+    lo = list(WalkClass).index(walk_class) * width
     base = 2 * cutoff + 1
     # a code has axis 0 least significant, so the C-order reshape reverses
     # the site axes
-    half = canonical[:, lo : lo + width].reshape((base,) * d + (width,))
-    half = half.transpose(*range(d - 1, -1, -1), d)
-    grid = np.zeros_like(half)
+    part = canonical[:, lo : lo + width].reshape((base,) * d + (width,))
+    part = part.transpose(*range(d - 1, -1, -1), d)
+    grid = np.zeros_like(part)
     for flips, axes in _orbit_maps(d, walk_class):
-        grid += np.flip(half, flips).transpose(axes)
+        grid += np.flip(part, flips).transpose(axes)
 
     grid[(cutoff,) * d + (0,)] += 1
-    # +e1 is the only direction whose straight walks are bridges
+    # +e1 is the only direction whose straight walks are bridges, and the
+    # one step +e1 the only irreducible one
     steps = unit_steps(d) if walk_class is WalkClass.ALL else unit_steps(d)[:1]
-    lengths = np.arange(1, width)
+    longest = min(1, cutoff) if walk_class is WalkClass.IRREDUCIBLE_BRIDGE else cutoff
+    lengths = np.arange(1, longest + 1)
     for step in steps:
         grid[(*(cutoff + np.outer(lengths, step)).T, lengths)] += 1
     return _grid_counts(grid)
@@ -229,40 +230,58 @@ def _canonical_roots(d: int, cutoff: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=1)
 def _canonical_counts(d: int, cutoff: int) -> np.ndarray:
-    """Tally of the canonical walks, a (base^d, 2(cutoff + 1)) int64 array:
-    row `code` counts the walks ending at that site by length, every walk
-    in the first half and the bridges again in the second.
+    """Tally of the canonical walks, a (base^d, 3(cutoff + 1)) int64 array:
+    row `code` counts the walks ending at that site by length in three
+    parts, in WalkClass order: every walk, the bridges, the irreducible
+    bridges.
 
     The frontier grows from the roots in blocks of FRONTIER_BLOCK walks,
     depth first.  A walk is a bridge iff its level x0 equals its running
     maximum `top`; once it steps below level 1, `top` is cutoff + 1, which
-    no level reaches.  The last result is kept, so the ALL and BRIDGE
-    tables of one (d, cutoff) cost one search; callers must not mutate it.
+    no level reaches, so the walk is never a bridge again.  Bit k of the
+    int32 mask `down` is set once the walk steps down from level k + 1 to
+    k (a code difference of -1); levels never exceed the cutoff, which
+    NODE_BUDGET keeps at 24 or less, so the mask fits.  A bridge steps down
+    only to levels 1..top - 1, and level k is a break unless it does so to
+    k, so the bridge is irreducible iff down == 2^top - 2.  The mask of a
+    walk below level 1 is never read.  The last result is kept, so the
+    three tables of one (d, cutoff) cost one search; callers must not
+    mutate it.
     """
     base, width = 2 * cutoff + 1, cutoff + 1
     steps = _unit_codes(d, cutoff)
-    tally = np.zeros((base**d, 2 * width), dtype=np.int64)
+    tally = np.zeros((base**d, 3 * width), dtype=np.int64)
     blocks = []
     for root in _canonical_roots(d, cutoff):
-        # a root ends at its running maximum: it is a bridge
-        tally[root[-1], [len(root) - 1, width + len(root) - 1]] += 1
+        # a root ends at its running maximum: it is a bridge, and an
+        # irreducible one only as (0, e1, e1 + e2)
+        k = len(root) - 2
+        tally[root[-1], np.arange(3 if k == 1 else 2) * width + k + 1] += 1
         if len(root) <= cutoff:
-            blocks.append((np.array([root], dtype=steps.dtype), np.array([len(root) - 2])))
+            walk = np.array([root], dtype=steps.dtype)
+            # levels fit the codes' type, which keeps the blocks small
+            top = np.array([k], dtype=steps.dtype)
+            blocks.append((walk, top, np.zeros(1, dtype=np.int32)))
     flat = tally.reshape(-1)
     while blocks:
-        walks, top = blocks.pop()
+        walks, top, down = blocks.pop()
         depth = walks.shape[1]
         parent, sites = _children(walks, steps)
         level = sites % base - cutoff
         top = np.where(level < 1, width, np.maximum(level, top[parent]))
-        keys = sites.astype(np.int64) * (2 * width) + depth
-        np.add.at(flat, np.concatenate((keys, keys[level == top] + width)), 1)
+        fell = sites - walks[parent, -1] == -1
+        down = down[parent] | np.left_shift(fell, level, dtype=np.int32)
+        bridge = level == top
+        irreducible = bridge & (down == np.left_shift(1, top, dtype=np.int32) - 2)
+        keys = sites.astype(np.int64) * (3 * width) + depth
+        parts = (keys, keys[bridge] + width, keys[irreducible] + 2 * width)
+        np.add.at(flat, np.concatenate(parts), 1)
         if depth == cutoff:
             continue
         walks = np.concatenate((walks[parent], sites[:, None]), axis=1)
         for start in reversed(range(0, len(walks), FRONTIER_BLOCK)):
             stop = start + FRONTIER_BLOCK
-            blocks.append((walks[start:stop], top[start:stop]))
+            blocks.append((walks[start:stop], top[start:stop], down[start:stop]))
     tally.flags.writeable = False
     return tally
 
@@ -271,13 +290,9 @@ def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
     """Exhaustively count walks of one class up to `cutoff` steps.
 
     One search covers the canonical walks only (first step +e1, first turn
-    +e2), tallying ALL and BRIDGE at once, and the class's table is rebuilt
-    from them by the orbit maps; see the module docstring.  IRREDUCIBLE_BRIDGE
-    counts the bridges this way and derives its table with
-    `irreducible_counts`.
+    +e2), tallying all three classes at once, and the class's table is
+    rebuilt from its part by the orbit maps; see the module docstring.
     """
-    if walk_class is WalkClass.IRREDUCIBLE_BRIDGE:
-        return irreducible_counts(enumerate_counts(d, cutoff, WalkClass.BRIDGE))
     check_dimension(d)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
@@ -289,54 +304,6 @@ def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
         )
     counts = _rebuild_table(d, cutoff, walk_class, _canonical_counts(d, cutoff))
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
-
-
-def irreducible_counts(bridge: CountTable) -> CountTable:
-    """Irreducible-bridge table derived from a bridge table.
-
-    A bridge of height h >= 1 splits at its lowest break level a into an
-    irreducible bridge of height a and a bridge of height h - a, so
-    B_h = I_h + sum_{0<a<h} I_a * B_{h-a}, where * convolves in the
-    transverse endpoint and in length.  Solving for I_h level by level is
-    exact in int64: every partial sum counts distinct bridges of height h.
-    Level h is row cutoff + h of the count grid.  Each product loops over
-    the nonzero entries of its sparser factor and slice-adds the other
-    factor, shifted by the entry and clipped to the grid's box; a walk of
-    at most cutoff steps never leaves it.
-    """
-    if bridge.walk_class is not WalkClass.BRIDGE:
-        raise ValueError("irreducible_counts requires a BRIDGE-class table")
-    d, cutoff = bridge.d, bridge.cutoff
-    base = 2 * cutoff + 1
-    bridges = np.zeros((base,) * d + (cutoff + 1,), dtype=np.int64)
-    for site, row in bridge.counts.items():
-        bridges[tuple(c + cutoff for c in site)] = row
-    irreducible = bridges.copy()
-    for h in range(2, cutoff + 1):
-        acc = irreducible[cutoff + h]
-        for a in range(1, h):
-            sparse, dense = irreducible[cutoff + a], bridges[cutoff + h - a]
-            if np.count_nonzero(sparse) > np.count_nonzero(dense):
-                sparse, dense = dense, sparse
-            lengths = np.flatnonzero(dense.any(axis=tuple(range(d - 1))))
-            if not lengths.size:
-                continue
-            # entry (i, n) of one factor meets entry (g, m) of the other at
-            # acc index g + i - cutoff per transverse axis and length n + m,
-            # so n beyond cutoff minus the other's shortest length meets none
-            for *idx, n in np.argwhere(sparse[..., : cutoff + 1 - lengths[0]]).tolist():
-                box, src = [], []
-                for i in idx:
-                    lo, hi = max(0, i - cutoff), min(base, base + i - cutoff)
-                    box.append(slice(lo, hi))
-                    src.append(slice(lo + cutoff - i, hi + cutoff - i))
-                acc[(*box, slice(n, None))] -= (
-                    sparse[(*idx, n)] * dense[(*src, slice(0, cutoff + 1 - n))]
-                )
-    counts = _grid_counts(irreducible)
-    return CountTable(
-        d=d, cutoff=cutoff, walk_class=WalkClass.IRREDUCIBLE_BRIDGE, counts=counts
-    )
 
 
 def length_weights(cutoff: int, beta: float) -> np.ndarray:

@@ -162,10 +162,12 @@ def canonical_counts_dfs(d: int, cutoff: int) -> np.ndarray:
     Sites are mixed-radix codes over the box |x_i| <= cutoff, axis 0 least
     significant.  The walks are searched from the roots (0, e1, ..., k e1,
     k e1 + e2), k = 1..cutoff - 1, and row `code` of the (base^d,
-    2(cutoff + 1)) result counts the walks ending there by length: every
-    walk in the first half, bridges also in the second.  A walk is a
-    bridge iff its level x0 equals the running maximum `top`; once the
-    walk steps below level 1, `top` is cutoff + 1, which no level reaches.
+    3(cutoff + 1)) result counts the walks ending there by length in three
+    parts: every walk, the bridges, and the irreducible bridges.  A walk
+    is a bridge iff its level x0 equals the running maximum `top`; once
+    the walk steps below level 1, `top` is cutoff + 1, which no level
+    reaches.  A bridge is irreducible iff `naive_break_points` finds no
+    break in its decoded path.
     """
     base = 2 * cutoff + 1
     width = cutoff + 1
@@ -174,12 +176,17 @@ def canonical_counts_dfs(d: int, cutoff: int) -> np.ndarray:
     for axis in range(d):
         for sign in (1, -1):
             moves.append((sign * base**axis, sign if axis == 0 else 0))
-    counts = np.zeros((base**d, 2 * width), dtype=np.int64)
+    counts = np.zeros((base**d, 3 * width), dtype=np.int64)
+
+    def site(code: int) -> Site:
+        return tuple(code // base**i % base - cutoff for i in range(d))
 
     def rec(pos: int, x0: int, top: int, depth: int) -> None:
         counts[pos, depth] += 1
         if x0 == top:
             counts[pos, width + depth] += 1
+            if not naive_break_points([site(code) for code in path]):
+                counts[pos, 2 * width + depth] += 1
         if depth == cutoff:
             return
         for off, rise in moves:
@@ -188,15 +195,17 @@ def canonical_counts_dfs(d: int, cutoff: int) -> np.ndarray:
                 continue
             nx0 = x0 + rise
             visited.add(nxt)
+            path.append(nxt)
             rec(nxt, nx0, never if nx0 < 1 else max(nx0, top), depth + 1)
+            path.pop()
             visited.remove(nxt)
 
     origin = sum(cutoff * base**i for i in range(d))
     for k in range(1, cutoff):
-        root = [origin + j for j in range(k + 1)] + [origin + k + base]
-        visited = set(root)
+        path = [origin + j for j in range(k + 1)] + [origin + k + base]
+        visited = set(path)
         # the root's sites after the origin lie at levels 1..k: a bridge
-        rec(root[-1], k, k, k + 1)
+        rec(path[-1], k, k, k + 1)
     return counts
 
 

@@ -389,6 +389,27 @@ def test_oracle_exact_match(pipeline_dir):
     assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_tv_is_an_exactly_rounded_sum_in_key_order(pipeline_dir, tmp_path):
+    # at this seed the terms summed in the hash order of a set of skeletons
+    # read 0.2597791746098572
+    shutil.copy(pipeline_dir / "counts_d2_L10_irreducible.bin", tmp_path)
+    args = ("--d", "2", "--L", "10", "--out", str(tmp_path),
+            "--n", "5", "--replicas", "300", "--seed", "3")
+    assert run("oracle", *args) == 0
+    irr = counting.load_count_table(tmp_path / "counts_d2_L10_irreducible.bin")
+    law = renewal.build_step_law(irr, 1.2, renewal.calibrate_mass(irr, 1.2))
+    frequencies = sampler.sample_skeletons(
+        law, sampler.dp_partition(law, 5), seed=3, replicates=range(300)
+    ).tally()
+    exact = counting.exact_conditioned_skeleton_law(2, 5, 1.2, 10)
+    terms = [
+        abs(frequencies.get(key, 0) / 300 - exact.get(key, 0.0))
+        for key in sorted(set(exact) | set(frequencies))
+    ]
+    tv = read_json_report(tmp_path / "oracle_n5.json")["tv_sampler_vs_exact"]
+    assert tv == 0.5 * math.fsum(terms) == 0.2597791746098574
+
+
 def test_oracle_laws_agree_bit_for_bit(tmp_path):
     # a case where summing per-walk weights missed the product law by an ulp
     args = ("--d", "2", "--L", "11", "--beta", "2.0", "--out", str(tmp_path))
@@ -575,6 +596,46 @@ def test_config_file_with_flag_override(tmp_path):
     ) == 0
     assert (tmp_path / "totals_d2_L2.csv").exists()
     assert not (tmp_path / "totals_d2_L7.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spans", "12"),
+        ("spans", 5),
+        ("spans", [5, 2.0]),
+        ("beta", "1.2"),
+        ("grid", 0.5),
+        ("replicas", 2.5),
+        ("seed", None),
+        ("threads", True),
+        ("box_radius", 3.7),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field, value):
+    # each of these was once taken apart, coerced or stamped as it came
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({field: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    for stage in ("enumerate", "oracle"):
+        assert run(stage, "--config", config_path, "--L", "4", "--out", out) == 2
+        assert f"config field {field!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_integer_beta_is_the_flag_float(tmp_path):
+    # "beta": 2 was stamped as 2 and hashed into another step-law digest
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"beta": 2}', encoding="utf-8")
+    laws = []
+    for name, beta_args in (("file", ("--config", config_path)), ("flag", ("--beta", "2"))):
+        out = tmp_path / name
+        args = ("--d", "2", "--L", "8", "--out", out, *beta_args)
+        assert run("enumerate", *args) == 0 and run("calibrate", *args) == 0
+        laws.append((out / "step_law_d2_L8.json").read_bytes())
+    assert laws[0] == laws[1]
+    stamp = read_json_report(tmp_path / "file" / "step_law_d2_L8.json")["config"]
+    assert type(stamp["beta"]) is float
 
 
 def test_grid_flag_controls_process_output(pipeline_dir, tmp_path):

@@ -81,6 +81,21 @@ def test_counter_hooks_read_real_results(traced, tmp_path):
     assert traced.counters["reporting.rows_read"] == 3
 
 
+def test_enumerate_traces_one_count_call_per_walk_class(traced, tmp_path):
+    # the benchmark times enumerate_counts per walk class and counts the
+    # entries of every table it returns, the irreducible one included
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 7, "out": str(tmp_path)})
+    cli.cmd_enumerate(config)
+    spans = [span for span in traced.spans if span["name"].endswith(".enumerate_counts")]
+    assert sorted(span["tag"] for span in spans) == ["all", "bridge", "irreducible"]
+    tables = [
+        counting.load_count_table(cli.cache_path(config, walk_class))
+        for walk_class in counting.WalkClass
+    ]
+    total = sum(int(row.sum()) for table in tables for row in table.counts.values())
+    assert traced.counters["counting.walks_counted"] == total
+
+
 def test_unique_states_reads_a_sampled_batch():
     tracer = load_tracer()
     irr = counting.enumerate_counts(2, 7, counting.WalkClass.IRREDUCIBLE_BRIDGE)
