@@ -10,9 +10,9 @@ cutoff.
     python scripts/mass_convergence.py --d 2 --beta 1.2 --max-L 16
 
 Enumeration cost grows roughly with the connective constant to the
-power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 0.61-0.62 s
+power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 0.26-0.31 s
 (enumeration, calibration and step law); the whole sweep above takes
-1.2-1.4 s.
+0.67-0.85 s, interpreter start-up included.
 """
 
 from __future__ import annotations

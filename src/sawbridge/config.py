@@ -56,8 +56,8 @@ class ExperimentConfig:
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.d not in SUPPORTED_DIMENSIONS:
         raise ConfigError(f"dimension {config.d} not in {SUPPORTED_DIMENSIONS}")
-    if not config.beta > 0.0:
-        raise ConfigError(f"beta must be positive, got {config.beta}")
+    if not 0.0 < config.beta < float("inf"):
+        raise ConfigError(f"beta must be positive and finite, got {config.beta}")
     if config.d == 2 and config.beta <= PLANE_SUPERCRITICAL_BETA:
         warnings.warn(
             f"beta = {config.beta} is at or below the plane's critical "

@@ -38,8 +38,8 @@ significant, in the smallest integer type that holds them all, so a unit
 step adds a fixed offset and the origin is the box's centre.  The partial
 walks of one length are the rows of a code array; they are extended in
 blocks of FRONTIER_BLOCK walks, depth first, so few blocks are held at
-once, and a new site is compared only with the sites an even number of
-steps back.
+once.  Each parent's 2d candidate sites are compared once with its sites
+an even number of steps back, one history column at a time.
 
 Every table passes through one dense int64 grid over the box |x_i| <= L
 and the lengths 0..L (L the cutoff), and a code is a site's flat index in
@@ -139,15 +139,16 @@ def _unit_codes(d: int, radius: int) -> np.ndarray:
     return np.outer(base ** np.arange(d), (1, -1)).ravel().astype(dtype)
 
 
-def _children(walks: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _children(walks: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     """One-step extensions of same-length walks of site codes onto sites
-    they have not visited, parent-major and step-minor: (parent rows, new
-    sites).  A site recurs only an even number of steps back (the lattice
-    is bipartite), so only those sites are compared."""
-    parent = np.repeat(np.arange(len(walks)), len(steps))
-    sites = (walks[:, -1, None] + steps).ravel()
-    seen = (walks[parent, walks.shape[1] % 2 :: 2] == sites[:, None]).any(axis=1)
-    return parent[~seen], sites[~seen]
+    they have not visited, parent-major and step-minor: (parent rows, step
+    indices, new sites).  A site recurs only an even number of steps back
+    (the lattice is bipartite): one compare per parent and history column."""
+    sites = walks[:, -1, None] + steps
+    free = np.ones(sites.shape, dtype=bool)
+    for past in walks[:, walks.shape[1] % 2 :: 2].T:
+        free &= past[:, None] != sites
+    return *np.nonzero(free), sites[free]
 
 
 def _grid_counts(grid: np.ndarray) -> dict[Site, np.ndarray]:
@@ -240,7 +241,7 @@ def _canonical_counts(d: int, cutoff: int) -> np.ndarray:
     maximum `top`; once it steps below level 1, `top` is cutoff + 1, which
     no level reaches, so the walk is never a bridge again.  Bit k of the
     int32 mask `down` is set once the walk steps down from level k + 1 to
-    k (a code difference of -1); levels never exceed the cutoff, which
+    k (step 1 of `_unit_codes`, -e1); levels never exceed the cutoff, which
     NODE_BUDGET keeps at 24 or less, so the mask fits.  A bridge steps down
     only to levels 1..top - 1, and level k is a break unless it does so to
     k, so the bridge is irreducible iff down == 2^top - 2.  The mask of a
@@ -266,11 +267,10 @@ def _canonical_counts(d: int, cutoff: int) -> np.ndarray:
     while blocks:
         walks, top, down = blocks.pop()
         depth = walks.shape[1]
-        parent, sites = _children(walks, steps)
+        parent, step, sites = _children(walks, steps)
         level = sites % base - cutoff
         top = np.where(level < 1, width, np.maximum(level, top[parent]))
-        fell = sites - walks[parent, -1] == -1
-        down = down[parent] | np.left_shift(fell, level, dtype=np.int32)
+        down = down[parent] | np.left_shift(step == 1, level, dtype=np.int32)
         bridge = level == top
         irreducible = bridge & (down == np.left_shift(1, top, dtype=np.int32) - 2)
         keys = sites.astype(np.int64) * (3 * width) + depth
@@ -421,7 +421,7 @@ def _bridge_stacks(d: int, n: int, max_steps: int) -> Iterator[np.ndarray]:
     while blocks:
         walks = blocks.pop()
         depth = walks.shape[1]
-        parent, sites = _children(walks, steps)
+        parent, _, sites = _children(walks, steps)
         x0 = sites % base - radius
         reach, rest = n - x0, sites // base
         for _ in range(d - 1):

@@ -623,6 +623,20 @@ def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, field, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_an_infinite_beta_exits_2(tmp_path, capsys, route):
+    # beta = inf once passed validation, and calibrate then failed with a
+    # NaN weight and "no forward irreducible steps; cutoff too small"
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"beta": Infinity}', encoding="utf-8")
+    beta_args = ("--beta", "inf") if route == "flag" else ("--config", config_path)
+    out = tmp_path / "out"
+    for stage in ("enumerate", "calibrate"):
+        assert run(stage, "--d", "2", "--L", "4", "--out", out, *beta_args) == 2
+        assert "beta must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_config_file_integer_beta_is_the_flag_float(tmp_path):
     # "beta": 2 was stamped as 2 and hashed into another step-law digest
     config_path = tmp_path / "config.json"

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -284,6 +284,55 @@ def test_transverse_symmetry(d, cutoff, walk_class):
             assert np.array_equal(counts, count_row(table, (site[0],) + image))
 
 
+# a 7-step plane walk whose last site, the origin, has every neighbour visited
+TRAPPED_PLANE_WALK = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (0, 0)]
+
+
+def children_reference(walks: np.ndarray, steps: np.ndarray) -> list[list[int]]:
+    """[parents, step indices, sites] of every one-step extension onto a
+    free site, parent-major and step-minor, each child checked against
+    every past site of its parent."""
+    found = [
+        (row, index, walk[-1] + step)
+        for row, walk in enumerate(walks.tolist())
+        for index, step in enumerate(steps.tolist())
+        if walk[-1] + step not in walk
+    ]
+    return [list(column) for column in zip(*found)] or [[], [], []]
+
+
+@given(st.data())
+def test_children_equal_the_every_site_reference(data):
+    d = data.draw(st.sampled_from([2, 3, 4]))
+    trapped = d == 2 and data.draw(st.booleans())
+    # 0..9 steps gives walks of both parities; the trapped walk has 7
+    length = 7 if trapped else data.draw(st.integers(0, 9))
+    radius = 10
+    steps = counting._unit_codes(d, radius)
+    origin = ((2 * radius + 1) ** d - 1) // 2
+    choices = st.lists(st.integers(0, 2 * d - 1), min_size=length, max_size=length)
+    walks = []
+    for picks in data.draw(st.lists(choices, min_size=1, max_size=6)):
+        walk = [origin]
+        for pick in picks:
+            free = [walk[-1] + step for step in steps.tolist() if walk[-1] + step not in walk]
+            assume(free)
+            walk.append(free[pick % len(free)])
+        walks.append(walk)
+    if trapped:
+        row = data.draw(st.integers(0, len(walks)))
+        codes = np.array(TRAPPED_PLANE_WALK) @ (1, 2 * radius + 1) + origin
+        walks.insert(row, codes.tolist())
+    walks = np.array(walks, dtype=steps.dtype)
+    parent, step, site = counting._children(walks, steps)
+    assert [parent.tolist(), step.tolist(), site.tolist()] == children_reference(
+        walks, steps
+    )
+    assert site.dtype == steps.dtype
+    if trapped:
+        assert row not in parent
+
+
 @given(
     st.sampled_from([(2, 9), (3, 6), (4, 4)]).flatmap(
         lambda dims: st.tuples(
@@ -304,12 +353,13 @@ def test_frontier_tally_equals_the_recursive_search(case):
     assert np.array_equal(tally, reference)
 
 
-@pytest.mark.parametrize("d, cutoff", [(2, 13), (4, 6)])
+@pytest.mark.parametrize("d, cutoff", [(2, 13), (3, 9), (4, 6)])
 def test_counting_holds_no_large_temporary(d, cutoff):
     # the search may hold its tally and about 1 MB of blocks, children and
-    # keys: at d = 2, L = 13 (a 0.16 MB tally) blocks of 2^13 walks or a
-    # 2^16-key buffer exceed that, and at d = 4, L = 6 (a 3.2 MB tally) so
-    # does a tally-sized temporary per flush, such as np.bincount's
+    # keys: at d = 2, L = 13 (a 0.24 MB tally) blocks of 2^13 walks or a
+    # 2^16-key buffer exceed that, and at d = 4, L = 6 (a 4.8 MB tally) so
+    # does a tally-sized temporary per flush, such as np.bincount's; d = 3,
+    # L = 9 (a 1.65 MB tally) has 6 candidate sites per parent
     counting._canonical_counts.cache_clear()
     tracemalloc.start()
     try:
