@@ -37,7 +37,6 @@ from .config import (
     resolve_config,
 )
 from .counting import WalkClass
-from .lattice import FrameSplit
 from .reporting import (
     read_csv_report,  # noqa: F401 -- traced by perfbench at this name
     read_int_csv_report,
@@ -182,6 +181,11 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
         raise ConfigError(f"{path}: malformed step-law report: {err}") from None
 
 
+def skeleton_header(d: int) -> list[str]:
+    """The columns of a skeleton CSV: the layout, then the increment."""
+    return ["replicate", "k", "step_index", "t", *(f"y{j}" for j in range(1, d))]
+
+
 def cmd_sample(config: ExperimentConfig) -> None:
     """Sample pinned skeletons at each span; write skeleton and process CSVs."""
     law, digest = load_law(config)
@@ -200,10 +204,9 @@ def cmd_sample(config: ExperimentConfig) -> None:
         stamp = provenance(
             config, *SKELETON_FIELDS, n=n, law_digest=digest, leakage=table.leakage
         )
-        y_names = [f"y{j + 1}" for j in range(config.d - 1)]
         write_csv_report(
             skeleton_path(config, n),
-            ["replicate", "k", "step_index", "t", *y_names],
+            skeleton_header(config.d),
             np.hstack((batch.layout(), batch.steps)),
             stamp,
         )
@@ -227,9 +230,11 @@ def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
     if not path.exists():
         raise ConfigError(f"missing ensemble {path}; run sample first")
     stamp, header, table = read_int_csv_report(path)
-    for name in ("n", "replicas"):
+    for name in ("d", "n", "replicas"):
         if name not in stamp:
             raise ConfigError(f"{path}: stamp has no {name}")
+    if not isinstance(stamp["d"], int) or header != skeleton_header(stamp["d"]):
+        raise ConfigError(f"{path}: header does not fit the stamped d {stamp['d']!r}")
     starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
     batch = sampler.SkeletonBatch(
         n=int(stamp["n"]), steps=table[:, 3:], offsets=np.append(starts, len(table))
@@ -306,8 +311,9 @@ def cmd_analyze(config: ExperimentConfig) -> None:
         write_csv_report(out / f"{name}.csv", header, table, stamp)
 
 
-def encode_skeleton(increments: tuple[FrameSplit, ...]) -> str:
-    return " ".join(":".join(str(c) for c in (s.t, *s.y)) for s in increments)
+def encode_skeleton(key: tuple[int, ...], d: int) -> str:
+    """A flat skeleton key as space-separated increments t:y1:..."""
+    return " ".join(":".join(map(str, key[i : i + d])) for i in range(0, len(key), d))
 
 
 def cmd_oracle(config: ExperimentConfig) -> None:
@@ -358,7 +364,7 @@ def cmd_oracle(config: ExperimentConfig) -> None:
         ["skeleton", "exact", "product", "abs_diff"],
         [
             [
-                encode_skeleton(key),
+                encode_skeleton(key, config.d),
                 exact.get(key, 0.0),
                 product.get(key, 0.0),
                 abs(exact.get(key, 0.0) - product.get(key, 0.0)),

@@ -55,6 +55,7 @@ import hashlib
 import json
 import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -63,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import FrameSplit, Site, unit_steps
+from .lattice import Site, unit_steps
 from .reporting import write_atomic
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
@@ -308,8 +309,8 @@ def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
 
 def length_weights(cutoff: int, beta: float) -> np.ndarray:
     """Vector e^{-beta N} for N = 0..cutoff."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return np.exp(-beta * np.arange(cutoff + 1, dtype=np.float64))
 
 
@@ -445,58 +446,43 @@ def _row_items(rows: np.ndarray) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
 
 
-def length_law(rows: dict, cutoff: int, beta: float) -> dict:
+def length_law(rows: dict, weights: np.ndarray) -> dict:
     """Probabilities from per-key count rows by length 0..cutoff: each
-    weight sum_N row[N] e^{-beta N} is one 1-D dot product, divided by the
+    weight sum_N row[N] weights[N] is one 1-D dot product, divided by the
     math.fsum of all of them; keys come out sorted.  Both skeleton laws end
     here, so equal rows give equal laws, bit for bit."""
-    w = length_weights(cutoff, beta)
-    weights = {k: float(row.astype(np.float64) @ w) for k, row in sorted(rows.items())}
-    total = math.fsum(weights.values())
-    return {key: weight / total for key, weight in weights.items()}
+    weighted = {k: float(r.astype(np.float64) @ weights) for k, r in sorted(rows.items())}
+    total = math.fsum(weighted.values())
+    return {key: weight / total for key, weight in weighted.items()}
 
 
 def exact_conditioned_skeleton_law(
     d: int, n: int, beta: float, cutoff: int
-) -> dict[tuple[FrameSplit, ...], float]:
+) -> dict[tuple[int, ...], float]:
     """Skeleton law of the length-weighted bridge ensemble pinned at (n, 0̃).
 
     Counts the bridges with at most `cutoff` steps by skeleton and length,
-    a stack at a time as the search yields them, for `length_law`.  A
+    a stack at a time as the search yields them, for `length_law`; a
+    skeleton's key is its flat increment coordinates (t1, y1.., t2, ...).  A
     bridge splits at its regeneration sites into irreducible legs one to
     one, so these are the rows of `renewal.product_skeleton_law`.  This is
     the exhaustive reference law the renewal sampler is tested against.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    ids: dict[bytes, int] = {}  # a skeleton's increments as bytes
-    skeletons: list[tuple[FrameSplit, ...]] = []
-    tallies = []
+    weights = length_weights(cutoff, beta)
+    rows = defaultdict(lambda: np.zeros(cutoff + 1, dtype=np.int64))
     for walks in bridges_to_axis_point(d, n, cutoff):
         for _, knots in knot_stacks(walks):
-            increments = np.diff(knots, axis=1)
-            keys, first, repeats = np.unique(
+            increments = np.diff(knots, axis=1).reshape(len(knots), -1)
+            _, first, repeats = np.unique(
                 _row_items(increments), return_index=True, return_counts=True
             )
-            at = np.array([ids.setdefault(key, len(ids)) for key in keys.tolist()])
-            tallies.append((at, walks.shape[1] - 1, repeats))
-            # the new skeletons, built from one FrameSplit per distinct leg
-            new = increments[first[at >= len(skeletons)]]
-            legs = new.reshape(-1, d)
-            _, one, leg_of = np.unique(
-                _row_items(legs), return_index=True, return_inverse=True
-            )
-            splits = [FrameSplit(t, tuple(y)) for t, *y in legs[one].tolist()]
-            for row in leg_of.reshape(new.shape[:2]).tolist():
-                skeletons.append(tuple(map(splits.__getitem__, row)))
-    if not skeletons:
+            for key, count in zip(increments[first].tolist(), repeats.tolist()):
+                rows[tuple(key)][walks.shape[1] - 1] += count
+    if not rows:
         raise NoBridgesError(
             f"no bridge reaches ({n}, 0) within {cutoff} steps; need cutoff >= {n}"
         )
-    counts = np.zeros((len(skeletons), cutoff + 1), dtype=np.int64)
-    for at, length, repeats in tallies:
-        counts[at, length] += repeats
-    return length_law(dict(zip(skeletons, counts)), cutoff, beta)
+    return length_law(rows, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,9 @@ def oz_prefactor_diagnostic(
 
 def product_skeleton_law(
     irr_table: CountTable, beta: float, n: int
-) -> dict[tuple[FrameSplit, ...], float]:
-    """Skeleton law from the renewal product formula, at matched truncation.
+) -> dict[tuple[int, ...], float]:
+    """Skeleton law from the renewal product formula, at matched truncation,
+    keyed like `counting.exact_conditioned_skeleton_law`.
 
     The weight of a skeleton (x_1..x_k) with sum (n, 0̃) is the sum over
     per-leg walk lengths M_1..M_k with total <= cutoff of the product of
@@ -245,19 +246,17 @@ def product_skeleton_law(
     count rows.
     """
     _require_irreducible(irr_table)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    weights = length_weights(irr_table.cutoff, beta)
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
     cutoff, width = irr_table.cutoff, irr_table.cutoff + 1
     sites = [s for s, row in irr_table.counts.items() if 1 <= s[0] <= n and row.any()]
-    splits = [FrameSplit(s[0], tuple(s[1:])) for s in sites]
     rows = np.array([irr_table.counts[s] for s in sites], dtype=np.int64).reshape(-1, width)
     coords = np.array(sites, dtype=np.int64).reshape(-1, irr_table.d)
     step_t, step_y, min_len = coords[:, 0], coords[:, 1:], (rows > 0).argmax(axis=1)
     block = max(1, BLOCK_CELLS // max(1, len(sites)))
 
-    law: dict[tuple[FrameSplit, ...], np.ndarray] = {}
+    law: dict[tuple[int, ...], np.ndarray] = {}
     # the empty sequence: no steps, t = 0, y = 0̃, no length, the unit row
     zero = np.zeros((1, irr_table.d), dtype=np.int64)
     unit = np.eye(1, width, dtype=np.int64)
@@ -279,15 +278,15 @@ def product_skeleton_law(
         used = used[parent] + min_len[step]
         done = t == n
         pinned = np.flatnonzero(done & ~y.any(axis=1))
-        for key, row in zip(path[pinned].tolist(), poly[pinned]):
-            law[tuple(map(splits.__getitem__, key))] = row
+        keys = coords[path[pinned]].reshape(len(pinned), path.shape[1] * irr_table.d)
+        law.update(zip(map(tuple, keys.tolist()), poly[pinned]))
         live = np.flatnonzero(~done)
         for i in reversed(range(0, len(live), block)):
             at = live[i : i + block]
             blocks.append((path[at], t[at], y[at], used[at], poly[at]))
     if not law:
         raise ZeroWeightError(f"no skeleton reaches ({n}, 0̃) within the cutoff")
-    return length_law(law, cutoff, beta)
+    return length_law(law, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ per-replicate decision uses that replicate's own uniforms, so results
 are bit-identical regardless of batch or thread partitioning.
 
 Full walks (not just skeletons) are available only by exhaustive
-enumeration at small n; that enumeration lives here too.
+enumeration at small n, which `counting.bridges_to_axis_point` does.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class SkeletonBatch(Sequence[Skeleton]):
 
     def __getitem__(self, index: int) -> Skeleton:
         r = range(len(self))[operator.index(index)]
-        rows = self.steps[self.offsets[r] : self.offsets[r + 1]]
-        return Skeleton(increments=_increments(rows), n=self.n)
+        rows = self.steps[self.offsets[r] : self.offsets[r + 1]].tolist()
+        return Skeleton(tuple(FrameSplit(t, tuple(y)) for t, *y in rows), self.n)
 
     def layout(self) -> np.ndarray:
         """(replicate, k, step_index) of every step, one row per step."""
@@ -117,20 +117,13 @@ class SkeletonBatch(Sequence[Skeleton]):
         index = np.arange(len(self.steps)) - self.offsets[replicate]
         return np.column_stack((replicate, lengths[replicate], index))
 
-    def tally(self) -> dict[tuple[FrameSplit, ...], int]:
-        """How many replicates drew each distinct skeleton, keyed by its
-        increments, in order of first appearance."""
-        d = self.steps.shape[1]
-        data = memoryview(np.ascontiguousarray(self.steps, dtype=np.int64)).cast("B")
-        counts = Counter(data[a:b].tobytes() for a, b in pairwise(self.offsets * 8 * d))
-        return {
-            _increments(np.frombuffer(key, np.int64).reshape(-1, d)): count
-            for key, count in counts.items()
-        }
-
-
-def _increments(rows: np.ndarray) -> tuple[FrameSplit, ...]:
-    return tuple(FrameSplit(t, tuple(y)) for t, *y in rows.tolist())
+    def tally(self) -> dict[tuple[int, ...], int]:
+        """How many replicates drew each distinct skeleton, in order of first
+        appearance, keyed as the exact skeleton laws are: by its flat
+        increment coordinates (t1, y1.., t2, ...)."""
+        data = memoryview(np.ascontiguousarray(self.steps, dtype=np.int64).ravel())
+        bounds = self.offsets * self.steps.shape[1]
+        return Counter(tuple(data[a:b]) for a, b in pairwise(bounds))
 
 
 @dataclass(frozen=True)

@@ -232,15 +232,22 @@ def naive_skeleton(path: Sequence[Site]) -> tuple[Site, ...]:
     )
 
 
+def flat_key(increments) -> tuple[int, ...]:
+    """A skeleton given as (t, y) increment pairs, as the package keys it:
+    the flat tuple (t1, y1.., t2, y2.., ...)."""
+    return tuple(c for t, y in increments for c in (t, *y))
+
+
 def skeleton_count_rows(
     d: int, n: int, max_steps: int
-) -> dict[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
+) -> dict[tuple[int, ...], np.ndarray]:
     """The bridges of the recursive search counted by skeleton and length:
-    one integer row per skeleton, keyed by (t, y) increment pairs, with
-    row[N] the number of N-step bridges to (n, 0) having that skeleton."""
+    one integer row per skeleton, keyed by its flat increment coordinates
+    (see flat_key), with row[N] the number of N-step bridges to (n, 0)
+    having that skeleton."""
     rows: dict = {}
     for path in iter_bridges_to_axis_point(d, n, max_steps):
-        sk = tuple((s[0], tuple(s[1:])) for s in naive_skeleton(path))
+        sk = tuple(c for site in naive_skeleton(path) for c in site)
         row = rows.setdefault(sk, np.zeros(max_steps + 1, dtype=np.int64))
         row[len(path) - 1] += 1
     return rows
@@ -248,11 +255,12 @@ def skeleton_count_rows(
 
 def product_law_reference(
     counts: dict[Site, np.ndarray], cutoff: int, n: int
-) -> dict[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
+) -> dict[tuple[int, ...], np.ndarray]:
     """The renewal product formula's count rows, by a prefix-shared
     recursion over step sequences: one integer row per skeleton to (n, 0),
-    keyed by (t, y) increment pairs, with row[N] the number of ways to pick
-    one irreducible bridge per leg with N steps in all (N <= cutoff).
+    keyed by its flat increment coordinates (see flat_key), with row[N]
+    the number of ways to pick one irreducible bridge per leg with N steps
+    in all (N <= cutoff).
 
     `counts` is an irreducible table's endpoint rows.  A branch is cut when
     its legs' shortest lengths plus the cheapest completion (the rest of
@@ -271,7 +279,7 @@ def product_law_reference(
     def rec(t_acc: int, y_acc: tuple[int, ...], min_used: int, poly: np.ndarray) -> None:
         if t_acc == n:
             if all(c == 0 for c in y_acc):
-                rows[tuple(path)] = poly
+                rows[flat_key(path)] = poly
             return
         for step, row, min_len in steps:
             if t_acc + step[0] > n:

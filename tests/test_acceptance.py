@@ -20,6 +20,7 @@ import pytest
 
 from oracles import (
     exact_gap_fraction,
+    flat_key,
     longer_than_cube_root,
     oz_residual,
     renewal_conditioned_law,
@@ -194,7 +195,7 @@ def test_criterion_06_sampler_frequencies(
         (s.t, tuple(s.y), p) for s, p in sorted(step_law_l13.probs.items())
     ]
     law = renewal_conditioned_law(triples, 5, min_prob=1e-6)
-    cells = {sk: p for sk, p in law.items() if p >= 1e-4}
+    cells = {flat_key(sk): p for sk, p in law.items() if p >= 1e-4}
     worst = 0.0
     for sk, p in cells.items():
         se = math.sqrt(p * (1.0 - p) / draws)

@@ -298,7 +298,32 @@ def test_analyze_rejects_restamped_skeleton_rows(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["n", "replicas"])
+def layout_columns_only(stamp, header, rows):
+    return stamp, header[:3], [row[:3] for row in rows]
+
+
+def second_transverse_column(stamp, header, rows):
+    return stamp, [*header, "y2"], [[*row, "0"] for row in rows]
+
+
+# no increment columns at all; pinned 3-d skeletons in a file stamped d = 2
+@pytest.mark.parametrize("edit", [layout_columns_only, second_transverse_column])
+def test_analyze_rejects_columns_that_do_not_fit_the_stamped_d(
+    pipeline_dir, tmp_path, capsys, edit
+):
+    message = "header does not fit the stamped d 2"
+    copy_ensembles(pipeline_dir, tmp_path)
+    path = tmp_path / "skeletons_n5.csv"
+    stamp, header, rows = edit(*read_csv_report(path))
+    write_csv_report(path, header, rows, stamp)
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.read_skeletons(path)
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n", "replicas", "d"])
 def test_analyze_rejects_a_stamp_without_n_or_replicas(
     pipeline_dir, tmp_path, capsys, field
 ):
@@ -408,6 +433,18 @@ def test_oracle_tv_is_an_exactly_rounded_sum_in_key_order(pipeline_dir, tmp_path
     ]
     tv = read_json_report(tmp_path / "oracle_n5.json")["tv_sampler_vs_exact"]
     assert tv == 0.5 * math.fsum(terms) == 0.2597791746098574
+
+
+def test_d3_oracle_law_column_spells_the_exact_law_keys(tmp_path):
+    args = ("--d", "3", "--L", "7", "--out", str(tmp_path))
+    assert run("enumerate", *args) == 0
+    assert run("oracle", *args, "--n", "3", "--replicas", "200") == 0
+    _, _, rows = read_csv_report(tmp_path / "oracle_law_n3.csv")
+    # one t:y1:y2 per increment, increments split by spaces
+    skeletons = [[step.split(":") for step in row[0].split(" ")] for row in rows]
+    assert {len(step) for skeleton in skeletons for step in skeleton} == {3}
+    keys = [tuple(int(c) for step in skeleton for c in step) for skeleton in skeletons]
+    assert keys == list(counting.exact_conditioned_skeleton_law(3, 3, 1.2, 7))
 
 
 def test_oracle_laws_agree_bit_for_bit(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import lru_cache
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 import oracles
 from sawbridge import counting, renewal
 from sawbridge.counting import WalkClass
-from sawbridge.lattice import FrameSplit
 
 # OEIS A001411: self-avoiding walks on Z^2 by number of steps.
 C_SQUARE = [
@@ -547,7 +547,8 @@ def test_product_law_equals_the_recursive_reference(d, cutoff, n, beta):
     # the array search and the recursion find the same step sequences and
     # convolve the same exact integer rows: weighted alike, equal bit for bit
     law = renewal.product_skeleton_law(irreducible_table(d, cutoff), beta, n)
-    reference = counting.length_law(reference_rows(d, cutoff, n), cutoff, beta)
+    weights = counting.length_weights(cutoff, beta)
+    reference = counting.length_law(reference_rows(d, cutoff, n), weights)
     assert list(law.items()) == list(reference.items())
 
 
@@ -572,7 +573,7 @@ def test_exact_law_equals_the_ordered_reference(d, n, cutoff):
     # the array search's count rows: weighted alike, equal bit for bit
     law = counting.exact_conditioned_skeleton_law(d, n, 1.2, cutoff)
     rows = oracles.skeleton_count_rows(d, n, cutoff)
-    reference = counting.length_law(rows, cutoff, 1.2)
+    reference = counting.length_law(rows, counting.length_weights(cutoff, 1.2))
     assert list(law.items()) == list(reference.items())
 
 
@@ -611,16 +612,14 @@ def test_exact_law_ignores_unusable_parity_step():
 
 def test_exact_law_point_mass_at_n1():
     law = counting.exact_conditioned_skeleton_law(2, 1, 1.2, 1)
-    assert law == {(FrameSplit(1, (0,)),): 1.0}
+    assert law == {(1, 0): 1.0}
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 8), (3, 9)])
 def test_exact_law_matches_naive_oracle(n, cutoff):
     law = counting.exact_conditioned_skeleton_law(2, n, 1.2, cutoff)
     naive = oracles.naive_skeleton_law(2, n, 1.2, cutoff)
-    converted = {
-        tuple(FrameSplit(s[0], tuple(s[1:])) for s in sk): p for sk, p in naive.items()
-    }
+    converted = {tuple(c for s in sk for c in s): p for sk, p in naive.items()}
     assert set(law) == set(converted)
     for sk, p in converted.items():
         assert law[sk] == pytest.approx(p, rel=1e-13, abs=1e-15)
@@ -630,12 +629,46 @@ def test_exact_law_matches_naive_oracle(n, cutoff):
 def test_exact_law_reversal_symmetry():
     law = counting.exact_conditioned_skeleton_law(2, 4, 1.2, 10)
     for sk, p in law.items():
-        mirrored = tuple(
-            FrameSplit(s.t, tuple(-c for c in s.y)) for s in reversed(sk)
-        )
+        # at d = 2 a flat key alternates t and y
+        steps = list(zip(sk[::2], sk[1::2]))
+        mirrored = oracles.flat_key((t, (-y,)) for t, y in reversed(steps))
         assert law[mirrored] == pytest.approx(p, rel=1e-13)
 
 
 def test_exact_law_requires_reachable_endpoint():
     with pytest.raises(counting.NoBridgesError):
         counting.exact_conditioned_skeleton_law(2, 3, 1.2, 2)
+
+
+@pytest.mark.parametrize("d, n, cutoff", [(3, 3, 9), (4, 3, 7)])
+def test_flat_keys_sort_as_their_increment_sequences(d, n, cutoff):
+    # every increment spans d entries and no key is a prefix of another
+    # (every key's t sum to n), so the flat keys sort as (t, y) sequences
+    exact = counting.exact_conditioned_skeleton_law(d, n, 1.2, cutoff)
+    product = renewal.product_skeleton_law(irreducible_table(d, cutoff), 1.2, n)
+
+    def increments(key):
+        return tuple((key[i], key[i + 1 : i + d]) for i in range(0, len(key), d))
+
+    for law in (exact, product):
+        assert list(law) == sorted(law) == sorted(law, key=increments)
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_length_weights_refuse_a_beta_that_is_not_positive_and_finite(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        counting.length_weights(6, beta)
+
+
+def test_weights_and_skeleton_laws_refuse_an_infinite_beta():
+    # at beta = inf the weight of length 0 would be -inf * 0, a NaN
+    irr = irreducible_table(2, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: counting.exact_conditioned_skeleton_law(2, 3, math.inf, 9),
+            lambda: renewal.product_skeleton_law(irr, math.inf, 3),
+            lambda: counting.evaluate_weight(irr, math.inf, (1, 0)),
+        ):
+            with pytest.raises(ValueError, match="positive and finite, got inf"):
+                call()

@@ -37,6 +37,14 @@ def test_script_exits_cleanly(name, args):
     assert result.returncode == 0, result.stderr
 
 
+def test_mass_convergence_refuses_an_infinite_beta():
+    # the message names beta, not the cutoff
+    result = run_script("mass_convergence.py", "--beta", "inf", "--max-L", "6")
+    assert result.returncode != 0
+    assert result.stderr.strip().endswith("beta must be positive and finite, got inf")
+    assert "cutoff too small" not in result.stderr
+
+
 def test_decay_rate_header_names_the_printed_values():
     lines = run_script("decay_diagnostics.py", "--L", "8").stdout.splitlines()
     assert lines[1] == "slab decay rates (log weight / n)"
