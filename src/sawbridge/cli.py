@@ -174,7 +174,11 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
     report = read_json_report(path)
     try:
         require_provenance(path, report["config"], provenance(config, *LAW_FIELDS))
-        return renewal.step_law_from_json(json.dumps(report["law"])), report["digest"]
+        law = renewal.step_law_from_json(json.dumps(report["law"]))
+        digest, stated = renewal.step_law_digest(law), report["digest"]
+        if stated != digest:
+            raise ConfigError(f"{path}: digest {stated!r} is not the law's own {digest!r}")
+        return law, digest
     except KeyError as err:
         raise ConfigError(f"{path}: step-law report has no {err} field") from None
     except TypeError as err:
@@ -224,29 +228,31 @@ def cmd_sample(config: ExperimentConfig) -> None:
         )
 
 
-def read_skeletons(path: Path) -> tuple[dict, sampler.SkeletonBatch]:
-    """The stamp and the skeletons of a skeleton CSV, whose rows must list
-    replicates 0, 1, ... in order, each with its k steps in step order."""
+def read_skeletons(config: ExperimentConfig, n: int) -> tuple[str, sampler.SkeletonBatch]:
+    """The law digest and the skeletons of span n's skeleton CSV, read only
+    once the file's whole stamp equals the config's, so d, n and replicas
+    come from the config.  Rows must list replicates 0, 1, ... in order,
+    each with its k steps in step order."""
+    path = skeleton_path(config, n)
     if not path.exists():
         raise ConfigError(f"missing ensemble {path}; run sample first")
     stamp, header, table = read_int_csv_report(path)
-    for name in ("d", "n", "replicas"):
-        if name not in stamp:
-            raise ConfigError(f"{path}: stamp has no {name}")
-    if not isinstance(stamp["d"], int) or header != skeleton_header(stamp["d"]):
-        raise ConfigError(f"{path}: header does not fit the stamped d {stamp['d']!r}")
+    require_provenance(path, stamp, provenance(config, *SKELETON_FIELDS, n=n))
+    if header != skeleton_header(config.d):
+        raise ConfigError(f"{path}: header does not fit the stamped d {config.d}")
     starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
     batch = sampler.SkeletonBatch(
-        n=int(stamp["n"]), steps=table[:, 3:], offsets=np.append(starts, len(table))
+        n=n, steps=table[:, 3:], offsets=np.append(starts, len(table))
     )
     for name, want, got in zip(header, batch.layout().T, table.T):
         if not np.array_equal(want, got):
             raise ConfigError(f"{path}: {name} column disagrees with the skeleton rows")
-    if len(batch) != stamp["replicas"]:
-        raise ConfigError(
-            f"{path}: {len(batch)} skeletons, stamped replicas {stamp['replicas']}"
-        )
-    return stamp, batch
+    if len(batch) != config.replicas:
+        raise ConfigError(f"{path}: {len(batch)} skeletons for {config.replicas} replicas")
+    digest = stamp.get("law_digest")
+    if not isinstance(digest, str):
+        raise ConfigError(f"{path}: stamped law_digest {digest!r} is not a digest")
+    return digest, batch
 
 
 def exhaustive_shrinking(beta: float) -> list[dict]:
@@ -264,26 +270,24 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
 
 def cmd_analyze(config: ExperimentConfig) -> None:
     """Fit and test the sampled skeletons against the Brownian bridge."""
-    ensembles: dict[int, sampler.SkeletonBatch] = {}
+    batches: dict[int, sampler.SkeletonBatch] = {}
     digests = set()
     for n in config.spans:
-        path = skeleton_path(config, n)
-        stamp, ensembles[n] = read_skeletons(path)
-        require_provenance(path, stamp, provenance(config, *SKELETON_FIELDS, n=n))
-        digests.add(stamp.get("law_digest", ""))
+        digest, batches[n] = read_skeletons(config, n)
+        digests.add(digest)
     if len(digests) != 1:
         raise ConfigError(f"skeleton files disagree on law_digest: {sorted(digests)}")
     digest = digests.pop()
     grid = np.array(config.grid)
     fit_span = max(config.spans)
-    ensemble = stats.build_ensemble(ensembles[fit_span], grid)
-    fit = stats.fit_bridge_covariance(stats.empirical_covariance(ensemble), grid)
+    values = stats.build_ensemble(batches[fit_span], grid)
+    fit = stats.fit_bridge_covariance(stats.empirical_covariance(values), grid)
     ks_rows = []
-    for t in config.grid:
-        statistic, p = stats.ks_marginal(ensemble, float(t), fit.sigma2_hat)
-        ks_rows.append({"t": float(t), "stat": statistic, "p": p})
+    for g, t in enumerate(config.grid):
+        statistic, p = stats.ks_marginal(values[:, g], fit_span, t, fit.sigma2_hat)
+        ks_rows.append({"t": t, "stat": statistic, "p": p})
     gap_rows = [
-        {"n": n, "fraction": stats.gap_statistic(ensembles[n], n)}
+        {"n": n, "fraction": stats.gap_statistic(batches[n])}
         for n in sorted(config.spans)
     ]
     fractions = [row["fraction"] for row in gap_rows]

@@ -33,28 +33,13 @@ from .lattice import self_avoiding
 from .sampler import SkeletonBatch, evaluate_process_grid
 
 KS_SERIES_TERMS = 100
+# below this lambda the series' first omitted term exceeds 2^-53: it has not converged
+KS_THETA_BELOW = math.sqrt(53 * math.log(2) / 2) / (KS_SERIES_TERMS + 1)
 MIN_KS_SAMPLE = 100
 
 
 class DegenerateFitError(ValueError):
     """The empirical covariance carries no signal to fit."""
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Scaled-process values of one sampling campaign on a fixed grid.
-
-    values[r, g, j] is transverse coordinate j of replicate r evaluated
-    at grid time g.
-    """
-
-    n: int
-    grid: np.ndarray
-    values: np.ndarray
-
-    @property
-    def replicates(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -74,28 +59,25 @@ def require_grid(grid: np.ndarray) -> None:
         raise ValueError("grid times must be strictly increasing")
 
 
-def build_ensemble(batch: SkeletonBatch, grid: np.ndarray) -> Ensemble:
-    """Scale every skeleton and evaluate it on the grid."""
+def build_ensemble(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
+    """The scaled process of every skeleton on a checked grid: values[r, g, j]
+    is transverse coordinate j of replicate r at grid time g."""
     if not len(batch):
         raise ValueError("ensemble needs at least one skeleton")
     grid = np.asarray(grid, dtype=np.float64)
     require_grid(grid)
-    return Ensemble(
-        n=batch.n,
-        grid=grid,
-        values=evaluate_process_grid(batch, grid),
-    )
+    return evaluate_process_grid(batch, grid)
 
 
-def empirical_covariance(ensemble: Ensemble) -> np.ndarray:
-    """Unbiased sample covariance across replicates, averaged over the
-    exchangeable transverse coordinates."""
-    reps, _, coords = ensemble.values.shape
+def empirical_covariance(values: np.ndarray) -> np.ndarray:
+    """Unbiased sample covariance across replicates of build_ensemble's
+    values, averaged over the exchangeable transverse coordinates."""
+    reps, _, coords = values.shape
     if reps < 2:
         raise ValueError("covariance needs at least two replicates")
     acc = None
     for j in range(coords):
-        block = ensemble.values[:, :, j]
+        block = values[:, :, j]
         centered = block - block.mean(axis=0)
         cov = centered.T @ centered / (reps - 1)
         acc = cov if acc is None else acc + cov
@@ -139,11 +121,14 @@ def fit_bridge_covariance(cov: np.ndarray, grid: np.ndarray) -> BridgeFit:
 
 
 def kolmogorov_pvalue(statistic: float, sample_size: int) -> float:
-    """Asymptotic Kolmogorov tail 2 * sum (-1)^(j-1) exp(-2 j^2 lambda^2),
-    truncated after a fixed number of terms and clamped to [0, 1]."""
+    """Asymptotic Kolmogorov tail 2 * sum (-1)^(j-1) exp(-2 j^2 lambda^2), truncated
+    after a fixed number of terms and clamped to [0, 1]; below KS_THETA_BELOW, the same
+    tail as 1 - (sqrt(2 pi) / lambda) * sum_{k >= 1} exp(-(2k - 1)^2 pi^2 / (8 lambda^2))."""
     lam = math.sqrt(sample_size) * statistic
     if lam <= 0.0:
         return 1.0
+    if lam < KS_THETA_BELOW:  # there every theta term past k = 1 underflows to 0
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * math.exp(-((math.pi / lam) ** 2) / 8)
     total = 0.0
     for j in range(1, KS_SERIES_TERMS + 1):
         total += (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
@@ -154,12 +139,15 @@ def _normal_cdf(values: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(values / math.sqrt(2.0)))
 
 
-def ks_marginal(ensemble: Ensemble, t: float, sigma2_hat: float) -> tuple[float, float]:
+def ks_marginal(
+    marginal: np.ndarray, n: int, t: float, sigma2_hat: float
+) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov check of a fixed-time marginal.
 
-    The first transverse coordinate of Y(t), standardized by the fitted
-    bridge variance sigma2_hat * t * (1 - t), is compared against the
-    standard normal.  Returns (statistic, asymptotic p-value).
+    marginal is Y(t) for each replicate of span n, build_ensemble's grid
+    column values[:, g].  Its first transverse coordinate, standardized by
+    the fitted bridge variance sigma2_hat * t * (1 - t), is compared
+    against the standard normal.  Returns (statistic, asymptotic p-value).
 
     Marginals of a lattice walk are supported on a grid of spacing
     1/sqrt(n), so their empirical CDF climbs in steps that no continuous
@@ -173,20 +161,14 @@ def ks_marginal(ensemble: Ensemble, t: float, sigma2_hat: float) -> tuple[float,
         raise ValueError(f"variance must be positive, got {sigma2_hat}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"marginal time must be inside (0, 1), got {t}")
-    if ensemble.replicates < MIN_KS_SAMPLE:
-        raise ValueError(
-            f"need at least {MIN_KS_SAMPLE} replicates, "
-            f"got {ensemble.replicates}"
-        )
-    matches = np.flatnonzero(np.isclose(ensemble.grid, t, rtol=0.0, atol=1e-12))
-    if matches.size != 1:
-        raise ValueError(f"time {t} is not a grid point of the ensemble")
-    scale = math.sqrt(sigma2_hat * t * (1.0 - t))
-    sample = np.sort(ensemble.values[:, matches[0], 0] / scale)
-    reps = sample.size
-    if ensemble.n < 1:
+    reps = len(marginal)
+    if reps < MIN_KS_SAMPLE:
+        raise ValueError(f"need at least {MIN_KS_SAMPLE} replicates, got {reps}")
+    if n < 1:
         raise ValueError("lattice-aware comparison needs the ensemble span")
-    spacing = 1.0 / (math.sqrt(ensemble.n) * scale)
+    scale = math.sqrt(sigma2_hat * t * (1.0 - t))
+    sample = np.sort(marginal[:, 0] / scale)
+    spacing = 1.0 / (math.sqrt(n) * scale)
     low = math.floor(sample[0] / spacing) - 1
     high = math.ceil(sample[-1] / spacing) + 1
     boundaries = (np.arange(low, high + 1) + 0.5) * spacing
@@ -195,8 +177,8 @@ def ks_marginal(ensemble: Ensemble, t: float, sigma2_hat: float) -> tuple[float,
     return statistic, kolmogorov_pvalue(statistic, reps)
 
 
-def gap_statistic(batch: SkeletonBatch, n: int) -> float:
-    """Fraction of skeletons with a renewal increment longer than n^(1/3).
+def gap_statistic(batch: SkeletonBatch) -> float:
+    """Fraction of skeletons with an increment longer than the batch's n^(1/3).
 
     Increment length is the Euclidean norm of the full displacement,
     longitudinal part included.  The comparison |x| > n^(1/3) is made
@@ -206,12 +188,10 @@ def gap_statistic(batch: SkeletonBatch, n: int) -> float:
     """
     if not len(batch):
         raise ValueError("no skeletons given")
-    if batch.n != n:
-        raise ValueError("skeleton span disagrees with n")
     norm2 = np.einsum("ij,ij->i", batch.steps, batch.steps)
     largest2 = np.maximum.reduceat(norm2, batch.offsets[:-1])
     # Python integers, so the cube cannot overflow
-    exceeding = sum(value**3 > n * n for value in largest2.tolist())
+    exceeding = sum(value**3 > batch.n**2 for value in largest2.tolist())
     return exceeding / len(batch)
 
 

@@ -20,6 +20,7 @@ from sawbridge.reporting import (
     read_csv_report,
     read_json_report,
     write_csv_report,
+    write_json_report,
 )
 
 MASS_ESTIMATE_L12 = -0.5543035797443925
@@ -179,6 +180,12 @@ def copy_ensembles(pipeline_dir, out) -> None:
         shutil.copy(pipeline_dir / f"skeletons_n{n}.csv", out)
 
 
+def campaign_config(out):
+    """The config `analyze` resolves from CAMPAIGN with its files in out."""
+    args = cli.build_parser().parse_args(["analyze", *CAMPAIGN, "--out", str(out)])
+    return cli.config_from_args(args)
+
+
 def restamp(path, edit_rows=None, **stamp_changes) -> None:
     stamp, header, rows = read_csv_report(path)
     if edit_rows:
@@ -187,10 +194,10 @@ def restamp(path, edit_rows=None, **stamp_changes) -> None:
 
 
 def test_read_skeletons_gives_back_the_sampled_arrays(pipeline_dir):
-    stamp, batch = cli.read_skeletons(pipeline_dir / "skeletons_n5.csv")
-    config = cli.resolve_config(None, {"cutoff": 10, "out": str(pipeline_dir)})
+    config = campaign_config(pipeline_dir)
+    law_digest, batch = cli.read_skeletons(config, 5)
     law, digest = cli.load_law(config)
-    assert stamp["law_digest"] == digest
+    assert law_digest == digest
     sampled = sampler.sample_skeletons(
         law, sampler.dp_partition(law, 5), seed=7, replicates=range(250)
     )
@@ -213,12 +220,12 @@ def test_d3_skeletons_round_trip_through_their_csv(tmp_path):
                 "--seed", "7", "--out", str(tmp_path))
     for stage in ("enumerate", "calibrate", "sample", "analyze"):
         assert run(stage, *campaign) == 0, stage
-    config = cli.resolve_config(None, {"d": 3, "cutoff": 7, "out": str(tmp_path)})
+    config = cli.config_from_args(cli.build_parser().parse_args(["analyze", *campaign]))
     law, _ = cli.load_law(config)
     for n, digest in D3_SKELETON_SHA256.items():
         path = tmp_path / f"skeletons_n{n}.csv"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        _, batch = cli.read_skeletons(path)
+        _, batch = cli.read_skeletons(config, n)
         sampled = sampler.sample_skeletons(
             law, sampler.dp_partition(law, n), seed=7, replicates=range(200)
         )
@@ -292,7 +299,7 @@ def test_analyze_rejects_restamped_skeleton_rows(
     copy_ensembles(pipeline_dir, tmp_path)
     restamp(tmp_path / "skeletons_n5.csv", edit)
     with pytest.raises(ValueError, match=message):
-        cli.read_skeletons(tmp_path / "skeletons_n5.csv")
+        cli.read_skeletons(campaign_config(tmp_path), 5)
     capsys.readouterr()
     assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
@@ -317,7 +324,7 @@ def test_analyze_rejects_columns_that_do_not_fit_the_stamped_d(
     stamp, header, rows = edit(*read_csv_report(path))
     write_csv_report(path, header, rows, stamp)
     with pytest.raises(cli.ConfigError, match=message):
-        cli.read_skeletons(path)
+        cli.read_skeletons(campaign_config(tmp_path), 5)
     capsys.readouterr()
     assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
@@ -333,11 +340,36 @@ def test_analyze_rejects_a_stamp_without_n_or_replicas(
     stamp, header, rows = read_csv_report(path)
     del stamp[field]
     write_csv_report(path, header, rows, stamp)
-    with pytest.raises(cli.ConfigError, match=f"stamp has no {field}"):
-        cli.read_skeletons(path)
+    with pytest.raises(cli.ConfigError, match=f"stamped {field} None"):
+        cli.read_skeletons(campaign_config(tmp_path), 5)
     capsys.readouterr()
     assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
-    assert f"stamp has no {field}" in capsys.readouterr().err
+    assert f"stamped {field} None" in capsys.readouterr().err
+
+
+# a stamped value of the wrong type is refused before any of it is used
+@pytest.mark.parametrize(
+    "field, value", [("n", [5]), ("replicas", "250"), ("law_digest", ["0"])]
+)
+def test_analyze_rejects_a_stamped_value_of_the_wrong_type(
+    pipeline_dir, tmp_path, capsys, field, value
+):
+    copy_ensembles(pipeline_dir, tmp_path)
+    restamp(tmp_path / "skeletons_n5.csv", **{field: value})
+    capsys.readouterr()
+    assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
+    assert f"stamped {field} {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_tests_each_grid_time_by_its_position(pipeline_dir, tmp_path):
+    # two valid grid times closer than 1e-12 apart
+    shutil.copy(pipeline_dir / "step_law_d2_L10.json", tmp_path)
+    grid = ("--grid", "0.5,0.5000000000001", "--out", tmp_path)
+    assert run("sample", *CAMPAIGN, *grid) == 0
+    assert run("analyze", *CAMPAIGN, *grid) == 0
+    _, _, rows = read_csv_report(tmp_path / "ks.csv")
+    assert [float(row[0]) for row in rows] == [0.5, 0.5000000000001]
 
 
 @pytest.mark.parametrize(
@@ -601,6 +633,28 @@ def test_a_step_law_report_of_the_wrong_shape_exits_2(
     capsys.readouterr()
     assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "skeletons_n5.csv").exists()
+
+
+def test_a_step_law_report_whose_digest_is_not_its_laws_exits_2(
+    pipeline_dir, tmp_path, capsys
+):
+    # one step's p moved in its last bits, the report re-hashed but its
+    # digest left as calibrate wrote it
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    stamp = report.pop("config")
+    report["law"]["steps"][0]["p"] += 1e-12
+    write_json_report(path, report, stamp)
+    digest = renewal.step_law_digest(renewal.step_law_from_json(json.dumps(report["law"])))
+    assert digest != report["digest"]
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
+    with pytest.raises(cli.ConfigError, match=digest):
+        cli.load_law(config)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert report["digest"] in err and digest in err
     assert not (tmp_path / "skeletons_n5.csv").exists()
 
 

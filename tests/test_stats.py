@@ -26,10 +26,11 @@ from oracles import (
 )
 
 
-def synthetic_ensemble(values: np.ndarray, grid: np.ndarray, n: int = 0) -> stats.Ensemble:
+def synthetic_ensemble(values: np.ndarray) -> np.ndarray:
+    """Process values of one transverse coordinate, shaped as build_ensemble's."""
     if values.ndim == 1:
         values = values[:, None]
-    return stats.Ensemble(n=n, grid=grid, values=values[:, :, None])
+    return values[:, :, None]
 
 
 def empty_batch() -> SkeletonBatch:
@@ -46,7 +47,7 @@ def law_l9() -> renewal.StepLaw:
 
 
 @pytest.fixture(scope="module")
-def small_ensemble(law_l9) -> stats.Ensemble:
+def small_ensemble(law_l9) -> np.ndarray:
     table = sampler.dp_partition(law_l9, 16)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=12, replicates=range(3000))
     return stats.build_ensemble(skeletons, np.array(DEFAULT_GRID))
@@ -77,10 +78,10 @@ def test_build_ensemble_shape(law_l9):
     table = sampler.dp_partition(law_l9, 8)
     skeletons = sampler.sample_skeletons(law_l9, table, seed=1, replicates=range(40))
     grid = np.array(DEFAULT_GRID)
-    ensemble = stats.build_ensemble(skeletons, grid)
-    assert ensemble.values.shape == (40, 9, 1)
-    assert ensemble.replicates == 40
-    assert ensemble.n == 8
+    values = stats.build_ensemble(skeletons, grid)
+    assert values.shape == (40, 9, 1)
+    assert len(values) == len(skeletons) == 40
+    assert skeletons.n == 8
 
 
 def test_build_ensemble_rejects_bad_input(law_l9):
@@ -97,7 +98,7 @@ def test_build_ensemble_rejects_bad_input(law_l9):
 
 
 def test_zero_ensemble_has_zero_covariance():
-    ens = synthetic_ensemble(np.zeros((50, 9)), np.array(DEFAULT_GRID))
+    ens = synthetic_ensemble(np.zeros((50, 9)))
     assert not stats.empirical_covariance(ens).any()
 
 
@@ -106,7 +107,7 @@ def test_empirical_covariance_matches_gaussian_oracle():
     cov_true = np.array(brownian_bridge_covariance(grid.tolist(), 1.0))
     rng = np.random.default_rng(1)
     draws = rng.multivariate_normal(np.zeros(grid.size), cov_true, size=20000)
-    cov = stats.empirical_covariance(synthetic_ensemble(draws, grid))
+    cov = stats.empirical_covariance(synthetic_ensemble(draws))
     # Cov(0.2, 0.5) = 0.2 * (1 - 0.5) = 0.1, checked to four standard errors
     se = math.sqrt((cov_true[1, 1] * cov_true[4, 4] + cov_true[1, 4] ** 2) / 20000)
     assert abs(cov[1, 4] - 0.1) <= 4 * se
@@ -156,14 +157,14 @@ def test_synthetic_bridge_ensemble_fits_cleanly():
     rng = np.random.default_rng(1)
     draws = rng.multivariate_normal(np.zeros(grid.size), cov_true, size=20000)
     fit = stats.fit_bridge_covariance(
-        stats.empirical_covariance(synthetic_ensemble(draws, grid)), grid
+        stats.empirical_covariance(synthetic_ensemble(draws)), grid
     )
     assert fit.sigma2_hat == pytest.approx(1.0, abs=0.03)
     assert fit.rel_rms <= 0.03
 
 
 def test_ensemble_mean_path_is_centered(small_ensemble):
-    values = small_ensemble.values[:, :, 0]
+    values = small_ensemble[:, :, 0]
     mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
     assert np.all(np.abs(mean) <= 4.0 * se)
@@ -207,6 +208,17 @@ def test_ks_constant_zero_sample_is_rejected():
     assert p <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.001, 0.005, 0.01, 0.03])
+def test_ks_pvalue_is_one_for_a_near_perfect_fit(lam):
+    # the true tail is 1 - O(exp(-pi^2 / (8 lambda^2))), 1 in double precision
+    assert stats.kolmogorov_pvalue(lam / 10.0, 100) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ks_pvalue_never_rises_as_the_statistic_grows():
+    pvalues = np.array([stats.kolmogorov_pvalue(lam, 1) for lam in np.linspace(0.001, 3, 30001)])
+    assert np.diff(pvalues).max() <= 1e-12
+
+
 def test_ks_lattice_mode_removes_the_discreteness_floor():
     # marginals rounded to the 1/sqrt(n) lattice: the classic statistic
     # saturates at half an atom of probability however large the sample,
@@ -215,28 +227,24 @@ def test_ks_lattice_mode_removes_the_discreteness_floor():
     rng = np.random.default_rng(3)
     scale = math.sqrt(0.25)
     rounded = np.round(rng.standard_normal(reps) * scale * math.sqrt(n)) / math.sqrt(n)
-    ens = synthetic_ensemble(rounded[:, None], np.array([0.5]), n=n)
     stat_classic = classic_ks_statistic(rounded / scale)
     p_classic = stats.kolmogorov_pvalue(stat_classic, reps)
     atom = 1.0 / (math.sqrt(n) * scale)
     assert stat_classic >= 0.35 * atom / math.sqrt(2.0 * math.pi)
     assert p_classic <= 1e-6
-    stat_lattice, p_lattice = stats.ks_marginal(ens, 0.5, 1.0)
+    stat_lattice, p_lattice = stats.ks_marginal(rounded[:, None], n, 0.5, 1.0)
     assert stat_lattice <= 0.5 * stat_classic
     assert p_lattice >= 0.05
 
 
 def test_ks_validation_errors(small_ensemble):
+    middle = small_ensemble[:, DEFAULT_GRID.index(0.5)]
     with pytest.raises(ValueError):
-        stats.ks_marginal(small_ensemble, 0.5, 0.0)
+        stats.ks_marginal(middle, 16, 0.5, 0.0)
     with pytest.raises(ValueError):
-        stats.ks_marginal(small_ensemble, 0.55, 1.0)
-    tiny = synthetic_ensemble(np.zeros((10, 1)), np.array([0.5]))
+        stats.ks_marginal(np.zeros((10, 1)), 16, 0.5, 1.0)
     with pytest.raises(ValueError):
-        stats.ks_marginal(tiny, 0.5, 1.0)
-    synthetic = synthetic_ensemble(np.zeros((500, 1)), np.array([0.5]), n=0)
-    with pytest.raises(ValueError):
-        stats.ks_marginal(synthetic, 0.5, 1.0)
+        stats.ks_marginal(np.zeros((500, 1)), 0, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +256,17 @@ def unit_skeleton(n: int) -> Skeleton:
 
 
 def test_gap_statistic_degenerate_cases():
-    assert stats.gap_statistic(batch_of(*[unit_skeleton(2)] * 5), 2) == 0.0
+    assert stats.gap_statistic(batch_of(*[unit_skeleton(2)] * 5)) == 0.0
     # a single unit step has norm exactly 1 = 1^(1/3), not above it
-    assert stats.gap_statistic(batch_of(unit_skeleton(1)), 1) == 0.0
+    assert stats.gap_statistic(batch_of(unit_skeleton(1))) == 0.0
 
 
 def test_gap_statistic_counts_wide_jumps():
     wide = Skeleton(increments=(FrameSplit(1, (3,)), FrameSplit(1, (-3,))), n=2)
     flock = batch_of(unit_skeleton(2), wide, unit_skeleton(2), wide)
-    assert stats.gap_statistic(flock, 2) == pytest.approx(0.5)
+    assert stats.gap_statistic(flock) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        stats.gap_statistic(flock, 3)
-    with pytest.raises(ValueError):
-        stats.gap_statistic(empty_batch(), 2)
+        stats.gap_statistic(empty_batch())
 
 
 def test_gap_statistic_norm_equal_to_cube_root_is_not_above_it():
@@ -271,13 +277,13 @@ def test_gap_statistic_norm_equal_to_cube_root_is_not_above_it():
         + (FrameSplit(1, (0,)),) * 119,
         n=125,
     )
-    assert stats.gap_statistic(batch_of(skeleton), 125) == 0.0
+    assert stats.gap_statistic(batch_of(skeleton)) == 0.0
     longer = Skeleton(
         increments=(FrameSplit(3, (5,)), FrameSplit(3, (-5,)))
         + (FrameSplit(1, (0,)),) * 119,
         n=125,
     )
-    assert stats.gap_statistic(batch_of(skeleton, longer), 125) == pytest.approx(0.5)
+    assert stats.gap_statistic(batch_of(skeleton, longer)) == pytest.approx(0.5)
 
 
 def test_exact_gap_fraction_matches_brute_force_law(law_l9):
@@ -304,7 +310,7 @@ def test_gap_fraction_decreases_with_span(law_l9):
         skeletons = sampler.sample_skeletons(
             law_l9, table, seed=4, replicates=range(3000)
         )
-        fractions[n] = stats.gap_statistic(skeletons, n)
+        fractions[n] = stats.gap_statistic(skeletons)
         longer = [
             any(longer_than_cube_root(s.t, s.y, n) for s in skeleton.increments)
             for skeleton in skeletons
