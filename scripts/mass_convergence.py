@@ -18,19 +18,14 @@ power L.  In the plane, on a 2-vCPU Xeon, L = 16 alone takes 0.26-0.31 s
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from sawbridge import counting, renewal, sampler
+from sawbridge.cli import EXIT_VALIDATION
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d", type=int, default=2, help="lattice dimension")
-    parser.add_argument("--beta", type=float, default=1.2, help="inverse temperature")
-    parser.add_argument("--min-L", type=int, default=4, help="smallest cutoff")
-    parser.add_argument("--max-L", type=int, default=16, help="largest cutoff")
-    args = parser.parse_args()
-
+def report(args: argparse.Namespace) -> None:
     print(f"d={args.d} beta={args.beta}")
     print(f"{'L':>3} {'m_hat':>20} {'shell_mass':>13} {'step_var':>10} {'secs':>7}")
     previous = None
@@ -50,6 +45,19 @@ def main() -> int:
             f" {variance:>10.6f} {elapsed:>7.2f}{note}"
         )
         previous = m_hat
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--d", type=int, default=2, help="lattice dimension")
+    parser.add_argument("--beta", type=float, default=1.2, help="inverse temperature")
+    parser.add_argument("--min-L", type=int, default=4, help="smallest cutoff")
+    parser.add_argument("--max-L", type=int, default=16, help="largest cutoff")
+    try:
+        report(parser.parse_args())
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     return 0
 
 

@@ -22,6 +22,7 @@ the stamped files must be too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -392,15 +393,18 @@ COMMANDS = {
 }
 
 
-def parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _list_of(kind: type):
+    """A flag type: comma-separated values of one kind."""
 
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part]
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand takes --config and one flag per config field."""
     parser = argparse.ArgumentParser(
         prog="sawbridge",
         description="pinned self-avoiding bridge pipeline",
@@ -409,29 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in COMMANDS.items():
         sub = subparsers.add_parser(name, help=handler.__doc__)
         sub.add_argument("--config", help="JSON config file")
-        sub.add_argument("--d", type=int, help="lattice dimension")
-        sub.add_argument("--beta", type=float, help="inverse temperature")
-        sub.add_argument(
-            "--L", type=int, dest="cutoff", help="enumeration step cutoff"
-        )
-        sub.add_argument(
-            "--n",
-            type=parse_int_list,
-            dest="spans",
-            help="comma-separated pinning spans",
-        )
-        sub.add_argument("--replicas", type=int, help="replicates per span")
-        sub.add_argument("--seed", type=int, help="campaign seed")
-        sub.add_argument(
-            "--grid", type=parse_float_list, help="comma-separated grid times"
-        )
-        sub.add_argument(
-            "--threads", type=int, help="sampler worker processes (sample, oracle)"
-        )
-        sub.add_argument("--out", help="output directory")
-        sub.add_argument(
-            "--box-radius", type=int, dest="box_radius", help="transverse box"
-        )
+        for field in dataclasses.fields(ExperimentConfig):
+            kind = field.metadata["type"]
+            sub.add_argument(
+                field.metadata["flag"],
+                type=_list_of(kind[0]) if isinstance(kind, list) else kind,
+                dest=field.name,
+                help=field.metadata["help"],
+            )
     return parser
 
 

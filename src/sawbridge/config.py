@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .counting import SUPPORTED_DIMENSIONS
@@ -27,24 +27,34 @@ class ConfigError(ValueError):
     """The configuration cannot describe a runnable experiment."""
 
 
+def _field(default, flag: str, kind, help: str):
+    """A config field, with the flag that sets it, its type as the flag
+    parses it ([t] is a comma-separated list of t), and the flag's help."""
+    return field(default=default, metadata={"flag": flag, "type": kind, "help": help})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs shared by the whole pipeline.
+    """Inputs shared by the whole pipeline, in the order of their flags.
 
     spans lists the pinning distances n to sample; box_radius of None
     lets the sampler choose its default transverse box.
     """
 
-    d: int = 2
-    beta: float = 1.2
-    cutoff: int = 13
-    spans: tuple[int, ...] = (64, 128, 256, 512)
-    replicas: int = 20000
-    seed: int = 0
-    grid: tuple[float, ...] = DEFAULT_GRID
-    box_radius: int | None = None
-    out: str = "runs"
-    threads: int = 1
+    d: int = _field(2, "--d", int, "lattice dimension")
+    beta: float = _field(1.2, "--beta", float, "inverse temperature")
+    cutoff: int = _field(13, "--L", int, "enumeration step cutoff")
+    spans: tuple[int, ...] = _field(
+        (64, 128, 256, 512), "--n", [int], "comma-separated pinning spans"
+    )
+    replicas: int = _field(20000, "--replicas", int, "replicates per span")
+    seed: int = _field(0, "--seed", int, "campaign seed")
+    grid: tuple[float, ...] = _field(
+        DEFAULT_GRID, "--grid", [float], "comma-separated grid times"
+    )
+    threads: int = _field(1, "--threads", int, "sampler worker processes (sample, oracle)")
+    out: str = _field("runs", "--out", str, "output directory")
+    box_radius: int | None = _field(None, "--box-radius", int, "transverse box")
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -87,11 +97,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
-# each field's type as its flag parses it; [t] is a list of t
-_FIELD_TYPES = {
-    "d": int, "beta": float, "cutoff": int, "spans": [int], "replicas": int,
-    "seed": int, "grid": [float], "box_radius": int, "out": str, "threads": int,
-}
 # the JSON values each type takes: a float also takes an integer
 _ACCEPTS = {int: int, float: (int, float), str: str, list: (list, tuple)}
 _NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
@@ -106,13 +111,13 @@ def _checked(name: str, kind: type, value):
 def config_from_dict(payload: dict) -> ExperimentConfig:
     """The config a payload describes, each value checked and coerced to
     its field's type as the flags would give it; box_radius may be null."""
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(payload) - known
+    types = {f.name: f.metadata["type"] for f in fields(ExperimentConfig)}
+    unknown = set(payload) - set(types)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     coerced = {}
     for name, value in payload.items():
-        kind = _FIELD_TYPES[name]
+        kind = types[name]
         if isinstance(kind, list):
             value = tuple(_checked(name, kind[0], v) for v in _checked(name, list, value))
         elif not (name == "box_radius" and value is None):

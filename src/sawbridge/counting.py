@@ -69,10 +69,9 @@ from .reporting import write_atomic
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 
-# Safe overestimates of the per-step branching used for feasibility guards.
-_GROWTH_BOUND = {2: 2.7, 3: 4.8, 4: 6.9}
-
-NODE_BUDGET = 5e10
+# largest cutoff `enumerate_counts` searches, by dimension: the whole walk
+# tree up to it has at most about 5e10 nodes
+MAX_CUTOFF = {2: 24, 3: 15, 4: 12}
 # partial walks a search extends at once (a whole d = 2 bridge level)
 FRONTIER_BLOCK = 2**11
 # cells one array pass holds at once: the partition DP's slab sum and block
@@ -89,7 +88,7 @@ class WalkClass(Enum):
 
 
 class BudgetExceededError(ValueError):
-    """Estimated search size exceeds the node budget."""
+    """The cutoff exceeds MAX_CUTOFF for its dimension."""
 
 
 class NoBridgesError(ValueError):
@@ -117,18 +116,6 @@ class CountTable:
 def check_dimension(d: int) -> None:
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMENSIONS}, got {d}")
-
-
-def estimate_nodes(d: int, cutoff: int) -> float:
-    """Upper estimate of the number of walks of at most `cutoff` steps.
-
-    This bounds the full walk tree, which is about 2d * 2(d-1) times
-    larger than the symmetry-reduced search of the ALL class; the budget
-    guard still compares the full tree against the budget.
-    """
-    check_dimension(d)
-    mu = _GROWTH_BOUND[d]
-    return sum(mu**k for k in range(cutoff + 1))
 
 
 def _unit_codes(d: int, radius: int) -> np.ndarray:
@@ -243,7 +230,7 @@ def _canonical_counts(d: int, cutoff: int) -> np.ndarray:
     no level reaches, so the walk is never a bridge again.  Bit k of the
     int32 mask `down` is set once the walk steps down from level k + 1 to
     k (step 1 of `_unit_codes`, -e1); levels never exceed the cutoff, which
-    NODE_BUDGET keeps at 24 or less, so the mask fits.  A bridge steps down
+    MAX_CUTOFF keeps at 24 or less, so the mask fits.  A bridge steps down
     only to levels 1..top - 1, and level k is a break unless it does so to
     k, so the bridge is irreducible iff down == 2^top - 2.  The mask of a
     walk below level 1 is never read.  The last result is kept, so the
@@ -297,11 +284,9 @@ def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
     check_dimension(d)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    estimate = estimate_nodes(d, cutoff)
-    if estimate > NODE_BUDGET:
+    if cutoff > MAX_CUTOFF[d]:
         raise BudgetExceededError(
-            f"estimated {estimate:.2e} walk-tree nodes (the full tree, not the "
-            f"symmetry-reduced search) exceeds budget {NODE_BUDGET:.2e}"
+            f"cutoff {cutoff} exceeds {MAX_CUTOFF[d]}, the largest enumerated at d = {d}"
         )
     counts = _rebuild_table(d, cutoff, walk_class, _canonical_counts(d, cutoff))
     return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
@@ -356,6 +341,43 @@ def mass_estimate(
             )
         seq[n - 1] = -math.log(w) / n
     return seq, float(seq[-1])
+
+
+def slab_rates(table: CountTable, beta: float, n_max: int) -> np.ndarray:
+    """Finite-n slab decay rates (1/n) log w(n) for n = 1..n_max, w(n) the
+    summed truncated weight of the table's endpoints (n, y).
+
+    For bridges against irreducible bridges, a positive difference at the
+    largest n is the finite-size signature of the strictly faster
+    irreducible decay (the mass gap).
+    """
+    if not 1 <= n_max <= table.cutoff:
+        raise ValueError(f"n_max must lie in 1..{table.cutoff}")
+    w = length_weights(table.cutoff, beta)
+    slabs = defaultdict(list)
+    for site, row in table.counts.items():
+        slabs[site[0]].append(float(row.astype(np.float64) @ w))
+    rates = np.zeros(n_max)
+    for n in range(1, n_max + 1):
+        total = math.fsum(slabs[n])
+        if total <= 0.0:
+            raise ZeroWeightError(f"empty slab at n={n}; cutoff too small")
+        rates[n - 1] = math.log(total) / n
+    return rates
+
+
+def oz_prefactor(table: CountTable, beta: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Axis prefactor r(n) = g(n, 0̃) n^{(d-1)/2} e^{n tau_hat}, n = 1..n_max,
+    and tau_hat, the last value of `mass_estimate`.
+
+    Since g(n, 0̃) = e^{-n tau(n)}, r(n) = n^{(d-1)/2} e^{n (tau_hat - tau(n))},
+    so r(n_max) = n_max^{(d-1)/2} exactly.  Flat ratios r(n + 1)/r(n) below
+    n_max suggest the prefactor has the Ornstein-Zernike exponent; purely
+    qualitative.
+    """
+    seq, tau_hat = mass_estimate(table, beta, n_max)
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    return ns ** ((table.d - 1) / 2) * np.exp(ns * (tau_hat - seq)), tau_hat
 
 
 def regeneration_knots(walks: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Calibration of the tilted irreducible step law and renewal diagnostics.
+"""Calibration of the tilted irreducible step law and the product law.
 
 The truncated irreducible table induces forward displacement weights
 f(x) for x with first coordinate >= 1.  Tilting by e^{-m x_1} and choosing
@@ -6,10 +6,9 @@ m so the total mass is one turns them into a probability law on renewal
 steps; the root m_hat exists and is unique because the tilted sum is
 continuous and strictly decreasing in m with limits +inf and 0.
 
-Also here: the slab mass-gap diagnostic (bridges decay strictly slower
-than irreducible bridges along the axis), a finite-size prefactor
-flatness diagnostic for the two-point function, and the product-formula
-skeleton law used as a cross-check against exhaustive enumeration.
+Also here: the step law's serialization and digest, and the
+product-formula skeleton law used as a cross-check against exhaustive
+enumeration.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import BLOCK_CELLS, CountTable, WalkClass, ZeroWeightError, length_law
-from .counting import evaluate_weight, length_weights, mass_estimate
+from .counting import BLOCK_CELLS, CountTable, WalkClass, ZeroWeightError
+from .counting import length_law, length_weights
 from .lattice import FrameSplit
 
 NORMALIZATION_TOL = 1e-10
@@ -53,26 +52,6 @@ class StepLaw:
 
     def total_mass(self) -> float:
         return math.fsum(self.probs.values())
-
-
-@dataclass(frozen=True)
-class MassGapReport:
-    """Finite-n slab decay rates for bridges and irreducible bridges."""
-
-    n: np.ndarray
-    bridge_rate: np.ndarray
-    irreducible_rate: np.ndarray
-    gap_estimate: float
-
-
-@dataclass(frozen=True)
-class OzPrefactorReport:
-    """Prefactor flatness diagnostic r(n) = g(n, 0̃) n^{(d-1)/2} e^{n tau}."""
-
-    n: np.ndarray
-    prefactor: np.ndarray
-    ratios: np.ndarray
-    tau_hat: float
 
 
 def _require_irreducible(table: CountTable) -> None:
@@ -158,72 +137,6 @@ def truncation_tail_mass(irr_table: CountTable, beta: float, m_hat: float) -> fl
         int(row[length]) * shell * math.exp(-m_hat * site[0])
         for site, row in irr_table.counts.items()
         if site[0] >= 1 and row[length]
-    )
-
-
-def mass_gap_diagnostic(
-    bridge_table: CountTable, irr_table: CountTable, beta: float, n_max: int
-) -> MassGapReport:
-    """Slab decay rates (1/n) log of bridge and irreducible slab weights.
-
-    The gap estimate is their difference at the largest requested n; a
-    positive gap is the finite-size signature of the strictly faster
-    irreducible decay.
-    """
-    if bridge_table.walk_class is not WalkClass.BRIDGE:
-        raise ValueError("first table must be BRIDGE class")
-    _require_irreducible(irr_table)
-    if bridge_table.d != irr_table.d or bridge_table.cutoff != irr_table.cutoff:
-        raise ValueError("tables must share dimension and cutoff")
-    if not 1 <= n_max <= bridge_table.cutoff:
-        raise ValueError(f"n_max must lie in 1..{bridge_table.cutoff}")
-
-    w = length_weights(bridge_table.cutoff, beta)
-
-    def slab_sum(table: CountTable, n: int) -> float:
-        return math.fsum(
-            float(row.astype(np.float64) @ w)
-            for site, row in table.counts.items()
-            if site[0] == n
-        )
-
-    ns = np.arange(1, n_max + 1)
-    bridge_rate = np.zeros(n_max)
-    irr_rate = np.zeros(n_max)
-    for i, n in enumerate(ns):
-        h = slab_sum(bridge_table, int(n))
-        f = slab_sum(irr_table, int(n))
-        if h <= 0.0 or f <= 0.0:
-            raise ZeroWeightError(f"empty slab at n={n}; cutoff too small")
-        bridge_rate[i] = math.log(h) / n
-        irr_rate[i] = math.log(f) / n
-    return MassGapReport(
-        n=ns,
-        bridge_rate=bridge_rate,
-        irreducible_rate=irr_rate,
-        gap_estimate=float(bridge_rate[-1] - irr_rate[-1]),
-    )
-
-
-def oz_prefactor_diagnostic(
-    all_table: CountTable, beta: float, n_max: int
-) -> OzPrefactorReport:
-    """Axis prefactor r(n) = g(n, 0̃) n^{(d-1)/2} e^{n tau_hat} and ratios.
-
-    Flat ratios indicate the power-law prefactor correction has the
-    expected exponent at this truncation; purely qualitative.
-    """
-    _, tau_hat = mass_estimate(all_table, beta, n_max)
-    ns = np.arange(1, n_max + 1)
-    pref = np.zeros(n_max)
-    for i, n in enumerate(ns):
-        x = (int(n),) + (0,) * (all_table.d - 1)
-        g = evaluate_weight(all_table, beta, x)
-        if g <= 0.0:
-            raise ZeroWeightError(f"zero axis weight at n={n}")
-        pref[i] = g * float(n) ** ((all_table.d - 1) / 2.0) * math.exp(n * tau_hat)
-    return OzPrefactorReport(
-        n=ns, prefactor=pref, ratios=pref[1:] / pref[:-1], tau_hat=tau_hat
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -741,6 +742,42 @@ def test_a_config_file_integer_beta_is_the_flag_float(tmp_path):
     assert laws[0] == laws[1]
     stamp = read_json_report(tmp_path / "file" / "step_law_d2_L8.json")["config"]
     assert type(stamp["beta"]) is float
+
+
+# one value per config field: its flag and flag text, its JSON value, and
+# the config value both must give
+FIELD_VALUES = {
+    "d": ("--d", "3", 3, 3),
+    "beta": ("--beta", "2", 2, 2.0),
+    "cutoff": ("--L", "9", 9, 9),
+    "spans": ("--n", "5,6", [5, 6], (5, 6)),
+    "replicas": ("--replicas", "7", 7, 7),
+    "seed": ("--seed", "11", 11, 11),
+    "grid": ("--grid", "1e-1,0.25", [0.1, 0.25], (0.1, 0.25)),
+    "threads": ("--threads", "2", 2, 2),
+    "out": ("--out", "elsewhere", "elsewhere", "elsewhere"),
+    "box_radius": ("--box-radius", "4", 4, 4),
+}
+
+
+def test_every_config_field_has_a_flag_value():
+    names = [field.name for field in dataclasses.fields(cli.ExperimentConfig)]
+    assert list(FIELD_VALUES) == names
+
+
+@pytest.mark.parametrize("field", list(FIELD_VALUES))
+def test_a_flag_and_its_config_file_value_agree(tmp_path, field):
+    flag, text, value, expected = FIELD_VALUES[field]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({field: value}), encoding="utf-8")
+    parser = cli.build_parser()
+    from_flag, from_file = (
+        getattr(cli.config_from_args(parser.parse_args(["enumerate", *args])), field)
+        for args in ((flag, text), ("--config", str(config_path)))
+    )
+    assert expected != getattr(cli.ExperimentConfig(), field)
+    # equal reprs: the same value, of the same type down to the elements
+    assert repr(from_flag) == repr(from_file) == repr(expected)
 
 
 def test_grid_flag_controls_process_output(pipeline_dir, tmp_path):

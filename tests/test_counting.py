@@ -387,8 +387,21 @@ def test_validation_and_budget_errors():
         counting.enumerate_counts(5, 4, WalkClass.ALL)
     with pytest.raises(ValueError):
         counting.enumerate_counts(2, -1, WalkClass.ALL)
-    # the envelope the budget is tuned for stays admissible
-    assert counting.estimate_nodes(2, 24) <= counting.NODE_BUDGET
+
+
+@pytest.mark.parametrize("d", counting.SUPPORTED_DIMENSIONS)
+def test_each_dimension_refuses_the_cutoff_past_its_cap(d, searched_roots):
+    cap = counting.MAX_CUTOFF[d]
+    with pytest.raises(counting.BudgetExceededError):
+        counting.enumerate_counts(d, cap + 1, WalkClass.ALL)
+    assert searched_roots == []
+    # the caps are the cutoffs whose full walk tree, a geometric sum over
+    # overestimated growth rates, stays within 5e10 nodes
+    growth = {2: 2.7, 3: 4.8, 4: 6.9}[d]
+    nodes = [sum(growth**k for k in range(cutoff + 1)) for cutoff in (cap, cap + 1)]
+    assert nodes[0] <= 5e10 < nodes[1]
+    # levels 0..cutoff fit the search's int32 level mask
+    assert cap + 1 <= 30
 
 
 def test_cache_roundtrip(tmp_path):

@@ -124,33 +124,35 @@ def test_truncation_tail_mass_shrinks_with_cutoff(irr_table_l12, irr_table_l13):
 
 
 def test_mass_gap_diagnostic(bridge_table_l12, irr_table_l12):
-    report = renewal.mass_gap_diagnostic(bridge_table_l12, irr_table_l12, 1.2, 4)
-    assert report.gap_estimate > 0
-    assert np.all(np.isfinite(report.bridge_rate))
-    assert np.all(report.bridge_rate >= report.irreducible_rate)
+    bridge = counting.slab_rates(bridge_table_l12, 1.2, 4)
+    irreducible = counting.slab_rates(irr_table_l12, 1.2, 4)
+    assert bridge[-1] - irreducible[-1] > 0
+    assert np.all(np.isfinite(bridge))
+    assert np.all(bridge >= irreducible)
     # the n=1 slab contains at least the single step
-    h1 = math.exp(report.bridge_rate[0])
+    h1 = math.exp(bridge[0])
     assert h1 >= math.exp(-1.2)
 
     # irreducible bridges spanning n >= 2 need at least 3n steps, so the
     # n=5 slab is empty at this cutoff
     with pytest.raises(counting.ZeroWeightError):
-        renewal.mass_gap_diagnostic(bridge_table_l12, irr_table_l12, 1.2, 6)
+        counting.slab_rates(irr_table_l12, 1.2, 6)
     with pytest.raises(ValueError):
-        renewal.mass_gap_diagnostic(bridge_table_l12, irr_table_l12, 1.2, 13)
-    with pytest.raises(ValueError):
-        renewal.mass_gap_diagnostic(irr_table_l12, irr_table_l12, 1.2, 4)
+        counting.slab_rates(bridge_table_l12, 1.2, 13)
 
 
 def test_oz_prefactor_diagnostic(all_table_l10):
-    report = renewal.oz_prefactor_diagnostic(all_table_l10, 1.2, 4)
-    assert np.all(report.prefactor > 0)
-    assert report.ratios.shape == (3,)
+    prefactor, tau_hat = counting.oz_prefactor(all_table_l10, 1.2, 4)
+    assert np.all(prefactor > 0)
+    ratios = prefactor[1:] / prefactor[:-1]
+    assert ratios.shape == (3,)
     _, tau = counting.mass_estimate(all_table_l10, 1.2, 4)
-    assert report.tau_hat == tau
+    assert tau_hat == tau
+    # tau_hat is the decay rate at n_max, so the last prefactor is exact
+    assert prefactor[-1] == 4 ** ((2 - 1) / 2)
     # inflating the decay estimate makes the sequence grow geometrically
-    inflated = report.prefactor * np.exp(0.1 * report.n)
-    assert np.all(inflated[1:] / inflated[:-1] > report.ratios)
+    inflated = prefactor * np.exp(0.1 * np.arange(1, 5))
+    assert np.all(inflated[1:] / inflated[:-1] > ratios)
 
 
 def test_step_law_json_roundtrip(step_law_l13):

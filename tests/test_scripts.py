@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -46,10 +47,40 @@ def test_mass_convergence_refuses_an_infinite_beta():
 
 
 def test_decay_rate_header_names_the_printed_values():
-    lines = run_script("decay_diagnostics.py", "--L", "8").stdout.splitlines()
+    stdout = run_script("decay_diagnostics.py", "--L", "8").stdout
+    lines = stdout.splitlines()
     assert lines[1] == "slab decay rates (log weight / n)"
     # the first row is n = 1, where log(weight) / n is below zero
     assert lines[3].split()[0] == "1" and float(lines[3].split()[1]) < 0
+    # the whole output, byte for byte
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "08f8bc2159691643e7386e3ba152ef1574286502cec486d7a664cc3a8c50f84d"
+    )
+    args = ("--d", "3", "--L", "9", "--beta", "1.8")
+    stdout = run_script("decay_diagnostics.py", *args).stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "1d66b78f0277b447ae4ea70a6d2b4ce6385a7af57a48c47e408ff5e950fcd443"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        # irreducible bridges spanning n >= 2 need at least 3n steps: at
+        # L = 12 the n = 5 slab is empty
+        ("decay_diagnostics.py", ("--L", "12", "--n-max", "6"),
+         "empty slab at n=5; cutoff too small"),
+        ("decay_diagnostics.py", ("--L", "30"),
+         "cutoff 30 exceeds 24, the largest enumerated at d = 2"),
+        ("mass_convergence.py", ("--min-L", "0", "--max-L", "2"),
+         "no forward irreducible steps; cutoff too small"),
+    ],
+)
+def test_a_script_refuses_a_bad_argument_with_one_line(name, args, message):
+    result = run_script(name, *args)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+    assert "Traceback" not in result.stderr
 
 
 def test_campaign_script_runs_every_stage(tmp_path):
