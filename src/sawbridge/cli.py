@@ -194,7 +194,7 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
         return law, digest
     except KeyError as err:
         raise ValueError(f"{path}: step-law report has no {err} field") from None
-    except TypeError as err:
+    except (TypeError, OverflowError) as err:
         raise ValueError(f"{path}: malformed step-law report: {err}") from None
 
 

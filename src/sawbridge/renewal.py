@@ -28,22 +28,36 @@ NORMALIZATION_TOL = 1e-10
 PHI_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepLaw:
     """Probability law on renewal steps (t >= 1, transverse block y).
 
-    probs(t, y) = f(t, y) * e^{-m_hat t} with f the truncated irreducible
-    weight; cutoff records the truncation the weights came from.
+    steps holds one read-only int64 row (t, y_1, ..., y_{d-1}) per step,
+    sorted by (t, y), the row layout of `SkeletonBatch.steps`; p holds
+    p(t, y) = f(t, y) * e^{-m_hat t} with f the truncated irreducible
+    weight.  cutoff records the truncation the weights came from.
     """
 
     d: int
     beta: float
     cutoff: int
     m_hat: float
-    probs: dict[FrameSplit, float]
+    steps: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.steps.setflags(write=False)
+        self.p.setflags(write=False)
+
+    @property
+    def probs(self) -> dict[FrameSplit, float]:
+        """The law as {FrameSplit(t, y): p} in (t, y) order: the form the
+        benchmark tracer (`perfbench/tracer.py`) reads, until it reads the arrays."""
+        rows = self.steps.tolist()
+        return {FrameSplit(t, tuple(y)): p for (t, *y), p in zip(rows, self.p.tolist())}
 
     def total_mass(self) -> float:
-        return math.fsum(self.probs.values())
+        return math.fsum(self.p.tolist())
 
 
 def _require_irreducible(table: CountTable) -> None:
@@ -51,23 +65,26 @@ def _require_irreducible(table: CountTable) -> None:
         raise ValueError("step-law calibration requires an irreducible-bridge table")
 
 
-def forward_weights(table: CountTable, beta: float) -> dict[FrameSplit, float]:
-    """Truncated irreducible weights f(x) on forward displacements x_1 >= 1."""
+def forward_weights(table: CountTable, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated irreducible weights f(x) on forward displacements x_1 >= 1:
+    the int64 (t, y) rows with f > 0, sorted by (t, y), and their f.
+    Refuses a table with no such row."""
     _require_irreducible(table)
     w = length_weights(table.cutoff, beta)
-    out: dict[FrameSplit, float] = {}
-    for site, row in table.counts.items():
-        if site[0] < 1:
-            continue
-        val = float(row.astype(np.float64) @ w)
-        if val > 0.0:
-            out[FrameSplit(site[0], tuple(site[1:]))] = val
-    return out
+    sites = sorted(s for s in table.counts if s[0] >= 1)
+    f = np.array([float(table.counts[s].astype(np.float64) @ w) for s in sites])
+    if not np.any(f > 0.0):
+        raise ValueError("no forward irreducible steps; cutoff too small")
+    steps = np.array(sites, dtype=np.int64)
+    return steps[f > 0.0], f[f > 0.0]
 
 
-def tilted_mass(weights: dict[FrameSplit, float], m: float) -> float:
-    """Total tilted mass sum f(x) e^{-m x_1}."""
-    return math.fsum(v * math.exp(-m * s.t) for s, v in weights.items())
+def tilt(steps: np.ndarray, f: np.ndarray, m: float) -> tuple[np.ndarray, float]:
+    """Tilted weights f(x) e^{-m x_1} and their math.fsum total; e^{-m k} is
+    one math.exp per step length k (np.exp need not round as math.exp)."""
+    e = np.array([math.exp(-m * k) for k in range(int(steps[:, 0].max()) + 1)])
+    q = f * e[steps[:, 0]]
+    return q, math.fsum(q.tolist())
 
 
 def calibrate_mass(irr_table: CountTable, beta: float) -> float:
@@ -77,20 +94,18 @@ def calibrate_mass(irr_table: CountTable, beta: float) -> float:
     mass >= 2d from the single forward step alone, and the upper end grows
     geometrically until the mass drops below one.
     """
-    weights = forward_weights(irr_table, beta)
-    if not weights:
-        raise ValueError("no forward irreducible steps; cutoff too small")
+    steps, f = forward_weights(irr_table, beta)
 
     lo = -beta - math.log(2 * irr_table.d)
-    while tilted_mass(weights, lo) <= 1.0:
+    while tilt(steps, f, lo)[1] <= 1.0:
         lo -= 1.0
     hi = lo + 2.0
-    while tilted_mass(weights, hi) >= 1.0:
+    while tilt(steps, f, hi)[1] >= 1.0:
         hi = lo + 2.0 * (hi - lo)
 
     for _ in range(500):
         mid = 0.5 * (lo + hi)
-        val = tilted_mass(weights, mid)
+        val = tilt(steps, f, mid)[1]
         if abs(val - 1.0) <= PHI_TOL:
             return mid
         if val > 1.0:
@@ -102,18 +117,13 @@ def calibrate_mass(irr_table: CountTable, beta: float) -> float:
 
 def build_step_law(irr_table: CountTable, beta: float, m_hat: float) -> StepLaw:
     """Tilt the forward weights by e^{-m_hat t} and check total mass."""
-    weights = forward_weights(irr_table, beta)
-    if not weights:
-        raise ValueError("no forward irreducible steps; cutoff too small")
-    probs = {s: v * math.exp(-m_hat * s.t) for s, v in weights.items()}
-    total = math.fsum(probs.values())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    steps, f = forward_weights(irr_table, beta)
+    p, total = tilt(steps, f, m_hat)
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(
             f"step law mass {total!r} deviates from 1 beyond {NORMALIZATION_TOL}"
         )
-    return StepLaw(
-        d=irr_table.d, beta=beta, cutoff=irr_table.cutoff, m_hat=m_hat, probs=probs
-    )
+    return StepLaw(irr_table.d, beta, irr_table.cutoff, m_hat, steps, p)
 
 
 def truncation_tail_mass(irr_table: CountTable, beta: float, m_hat: float) -> float:
@@ -205,7 +215,8 @@ def _law_payload(law: StepLaw) -> dict:
         "L": law.cutoff,
         "m_hat": law.m_hat,
         "steps": [
-            {"t": s.t, "y": list(s.y), "p": p} for s, p in sorted(law.probs.items())
+            {"t": t, "y": y, "p": p}
+            for (t, *y), p in zip(law.steps.tolist(), law.p.tolist())
         ],
     }
 
@@ -221,20 +232,29 @@ def step_law_digest(law: StepLaw) -> str:
 
 
 def step_law_from_json(text: str) -> StepLaw:
+    """The law `step_law_to_json` wrote.  Refuses a step whose t is not a
+    positive integer, whose y is not d - 1 integers or whose p is not
+    positive, steps not strictly increasing in (t, y), and a mass off one."""
     payload = json.loads(text)
-    probs = {
-        FrameSplit(int(s["t"]), tuple(int(c) for c in s["y"])): float(s["p"])
-        for s in payload["steps"]
-    }
-    law = StepLaw(
-        d=int(payload["d"]),
-        beta=float(payload["beta"]),
-        cutoff=int(payload["L"]),
-        m_hat=float(payload["m_hat"]),
-        probs=probs,
-    )
-    if any(s.t < 1 for s in probs):
-        raise ValueError("step law contains a non-advancing step")
-    if abs(law.total_mass() - 1.0) > NORMALIZATION_TOL:
+    d, rows, p = int(payload["d"]), [], []
+    for i, s in enumerate(payload["steps"]):
+        t, y, p_i = s["t"], s["y"], float(s["p"])
+        # type(), not isinstance(): JSON true is a bool, which is an int
+        if type(t) is not int or t < 1:
+            raise ValueError(f"step law step {i} has t {t!r}, not a positive integer")
+        if type(y) is not list or len(y) != d - 1 or any(type(c) is not int for c in y):
+            raise ValueError(f"step law step {i} has y {y!r}, not d - 1 = {d - 1} integers")
+        if not p_i > 0.0:
+            raise ValueError(f"step law step {i} has p {p_i!r}, not a positive number")
+        if rows and not rows[-1] < (t, *y):
+            raise ValueError(
+                f"step law steps {i - 1} and {i} are not strictly increasing in (t, y)"
+            )
+        rows.append((t, *y))
+        p.append(p_i)
+    steps = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    beta, cutoff, m_hat = float(payload["beta"]), int(payload["L"]), float(payload["m_hat"])
+    law = StepLaw(d, beta, cutoff, m_hat, steps, np.array(p, dtype=np.float64))
+    if not abs(law.total_mass() - 1.0) <= NORMALIZATION_TOL:
         raise ValueError("step law mass is off after deserialization")
     return law

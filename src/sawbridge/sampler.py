@@ -145,46 +145,26 @@ class PartitionTable:
         return float(self.mantissa[t][idx] * math.exp(self.log_scale[t]))
 
 
-def law_arrays(law: StepLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (t, y, p) arrays of a step law, sorted by (t, y)."""
-    items = sorted(law.probs.items())
-    t_arr = np.array([s.t for s, _ in items], dtype=np.int64)
-    y_arr = np.array([s.y for s, _ in items], dtype=np.int64).reshape(
-        len(items), law.d - 1
-    )
-    p_arr = np.array([p for _, p in items], dtype=np.float64)
-    return t_arr, y_arr, p_arr
-
-
 def transverse_step_variance(law: StepLaw) -> float:
     """Mean squared transverse displacement per step, per coordinate."""
-    _, y_arr, p_arr = law_arrays(law)
-    if y_arr.shape[1] == 0:
+    y = law.steps[:, 1:]
+    if y.shape[1] == 0:
         return 0.0
-    return float(np.sum(p_arr[:, None] * y_arr.astype(np.float64) ** 2) / y_arr.shape[1])
+    return float(np.sum(law.p[:, None] * y.astype(np.float64) ** 2) / y.shape[1])
 
 
 def default_box_radius(law: StepLaw, n: int) -> int:
     """Four Gaussian standard deviations of transverse spread, floored so a
     single step always fits."""
-    reach = _max_reach(law)
+    reach = int(np.abs(law.steps[:, 1:]).max(initial=0))
     spread = math.ceil(4.0 * math.sqrt(n * transverse_step_variance(law)))
     return max(spread, reach, 1)
 
 
-def _max_reach(law: StepLaw) -> int:
-    return max((max((abs(c) for c in s.y), default=0) for s in law.probs), default=0)
-
-
 def _forward_slabs(
-    t_arr: np.ndarray,
-    y_arr: np.ndarray,
-    p_arr: np.ndarray,
-    n: int,
-    radius: int,
-    reach: int,
+    law: StepLaw, n: int, radius: int, reach: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    d = y_arr.shape[1] + 1
+    d, t_arr = law.d, law.steps[:, 0]
     width = 2 * radius + 1
     lag = int(t_arr.max())
     # `lag` empty slabs before t = 0 and a zero margin of `reach` sites let
@@ -195,7 +175,7 @@ def _forward_slabs(
     log_scale[0] = 0.0
     box = (slice(reach, reach + width),) * (d - 1)
     windows = sliding_window_view(padded, (width,) * (d - 1), axis=tuple(range(1, d)))
-    corners = tuple(reach - y_arr.T)
+    corners = tuple(reach - law.steps[:, 1:].T)
     lengths = sorted(set(t_arr.tolist()))
     rows = max(1, BLOCK_CELLS // width ** (d - 1) - 1)
     # the running sum is contiguous: reducing into a slab's strided box is
@@ -208,7 +188,7 @@ def _forward_slabs(
         scale = np.zeros(lag + 1)  # by step length; 0 for a dead lag
         for tj in live:
             scale[tj] = math.exp(log_scale[t - tj] - anchor)
-        coef = scale[t_arr] * p_arr
+        coef = scale[t_arr] * law.p
         terms = np.flatnonzero(coef)  # the rest would add exact zeros
         if not terms.size:
             continue
@@ -235,18 +215,17 @@ def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTa
     against a half-again-wider box."""
     if n < 1:
         raise ValueError(f"span must be >= 1, got {n}")
-    reach = _max_reach(law)
+    reach = int(np.abs(law.steps[:, 1:]).max(initial=0))
     if radius is None:
         radius = default_box_radius(law, n)
     if radius < max(reach, 1):
         raise ValueError(
             f"box radius {radius} is below 1 or below the law's transverse reach {reach}"
         )
-    t_arr, y_arr, p_arr = law_arrays(law)
-    padded, log_scale = _forward_slabs(t_arr, y_arr, p_arr, n, radius, reach)
+    padded, log_scale = _forward_slabs(law, n, radius, reach)
 
     wide = radius + max(2 * reach, (radius + 1) // 2)
-    padded_w, logs_w = _forward_slabs(t_arr, y_arr, p_arr, n, wide, reach)
+    padded_w, logs_w = _forward_slabs(law, n, wide, reach)
 
     pinned = padded[(-1, *(reach + radius,) * (law.d - 1))]
     pinned_w = padded_w[(-1, *(reach + wide,) * (law.d - 1))]
@@ -263,18 +242,17 @@ def _sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Law-step indices (in forward order) and increment counts of one
     replicate batch."""
-    t_arr, y_arr, p_arr = law_arrays(law)
     n = partition.n
     n_reps = len(reps)
 
     # log G in the table's padded layout, -inf wherever its mantissa is 0
     with np.errstate(divide="ignore"):
         log_g = np.log(partition.padded)
-        log_p = np.log(p_arr)
+        log_p = np.log(law.p)
     lag = len(log_g) - n - 1
     log_g[lag:] += partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
     stride = np.array(log_g.strides) // log_g.itemsize
-    offset = np.column_stack((t_arr, y_arr)) @ stride
+    offset = law.steps @ stride
     slab_1 = (lag + 1) * stride[0]  # the first state past slab 0
     log_g = log_g.ravel()
 
@@ -304,7 +282,7 @@ def _sample_batch(
         target = uniforms[active, j] * cumulative[inverse, -1]
         above = cumulative[inverse] > target[:, None]
         picked = np.argmax(above, axis=1)
-        picked[~above.any(axis=1)] = len(t_arr) - 1
+        picked[~above.any(axis=1)] = len(law.p) - 1
 
         choices[active, j] = picked
         state[active] -= offset[picked]
@@ -350,9 +328,7 @@ def sample_skeletons(
     picked = np.concatenate([np.zeros(0, dtype=np.int32)] + [p for p, _ in parts])
     lengths = np.concatenate([np.zeros(1, dtype=np.int64)] + [k for _, k in parts])
     del parts  # the picks once, not twice, while the steps are gathered
-    t_arr, y_arr, _ = law_arrays(law)
-    steps = np.column_stack((t_arr, y_arr))[picked]
-    return SkeletonBatch(n=partition.n, steps=steps, offsets=np.cumsum(lengths))
+    return SkeletonBatch(n=partition.n, steps=law.steps[picked], offsets=np.cumsum(lengths))
 
 
 def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:

@@ -574,12 +574,12 @@ def exact_gap_fraction(law, n: int, radius: int) -> float:
     """
     from sawbridge import sampler
 
-    short = {
-        s: p for s, p in law.probs.items() if not longer_than_cube_root(s.t, s.y, n)
-    }
+    short = np.array(
+        [not longer_than_cube_root(t, y, n) for t, *y in law.steps.tolist()]
+    )
     origin = (0,) * (law.d - 1)
     full = sampler.dp_partition(law, n, radius).value(n, origin)
     kept = sampler.dp_partition(
-        dataclasses.replace(law, probs=short), n, radius
+        dataclasses.replace(law, steps=law.steps[short], p=law.p[short]), n, radius
     ).value(n, origin)
     return 1.0 - kept / full

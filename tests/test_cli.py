@@ -638,10 +638,16 @@ def test_a_step_law_report_without_its_law_exits_2(pipeline_dir, tmp_path, capsy
     "field, value, message",
     [
         ("law", [], "malformed step-law report"),
+        (
+            "law",
+            {"d": 2, "beta": 1.2, "L": 10, "m_hat": 0.0,
+             "steps": [{"t": 2**70, "y": [0], "p": 1.0}]},
+            "malformed step-law report: Python int too large to convert to C long",
+        ),
         ("config", [], "stamp is not a JSON object"),
         ("config", "d2", "stamp is not a JSON object"),
     ],
-    ids=["law_list", "config_list", "config_string"],
+    ids=["law_list", "law_huge_t", "config_list", "config_string"],
 )
 def test_a_step_law_report_of_the_wrong_shape_exits_2(
     pipeline_dir, tmp_path, capsys, field, value, message
@@ -709,6 +715,26 @@ def test_sample_refuses_a_law_whose_own_fields_disagree_with_its_stamp(
     assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.glob("skeletons_n*.csv"))
+
+
+def test_sample_refuses_a_law_that_lists_a_step_twice(pipeline_dir, tmp_path, capsys):
+    # a hash-valid report, its digest the law's own, whose first step is
+    # listed twice: merged, the steps would still make the stated law
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    stamp = report.pop("config")
+    steps = report["law"]["steps"]
+    steps.insert(0, dict(steps[0]))
+    write_json_report(path, report, stamp)
+    message = r"step law steps 0 and 1 are not strictly increasing in (t, y)"
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.load_law(config)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not list(tmp_path.glob("skeletons_n*.csv"))
 
 

@@ -13,12 +13,14 @@ from sawbridge.lattice import FrameSplit
 
 def test_forward_weights_small_table():
     irr = counting.enumerate_counts(2, 3, WalkClass.IRREDUCIBLE_BRIDGE)
-    weights = renewal.forward_weights(irr, 1.2)
+    steps, f = renewal.forward_weights(irr, 1.2)
+    weights = dict(zip(map(tuple, steps.tolist()), f.tolist()))
     # the only irreducible bridge to (1, 0) within 3 steps is the unit step
-    assert weights[FrameSplit(1, (0,))] == pytest.approx(math.exp(-1.2), rel=1e-15)
+    assert weights[(1, 0)] == pytest.approx(math.exp(-1.2), rel=1e-15)
     # right-up-up is an irreducible 3-step bridge to (1, 2)
-    assert weights[FrameSplit(1, (2,))] == pytest.approx(math.exp(-3.6), rel=1e-15)
-    assert all(s.t >= 1 for s in weights)
+    assert weights[(1, 2)] == pytest.approx(math.exp(-3.6), rel=1e-15)
+    assert all(s[0] >= 1 for s in weights)
+    assert list(weights) == sorted(weights)
 
 
 def test_calibrate_degenerate_single_step():
@@ -48,9 +50,9 @@ def test_calibrated_root_verified_by_direct_resummation(irr_table_l12):
     assert abs(total - 1.0) <= 1e-12
 
     # strict monotonicity around the root
-    weights = renewal.forward_weights(irr_table_l12, 1.2)
-    assert renewal.tilted_mass(weights, m_hat - 0.1) > 1.0
-    assert renewal.tilted_mass(weights, m_hat + 0.1) < 1.0
+    steps, f = renewal.forward_weights(irr_table_l12, 1.2)
+    assert renewal.tilt(steps, f, m_hat - 0.1)[1] > 1.0
+    assert renewal.tilt(steps, f, m_hat + 0.1)[1] < 1.0
 
 
 def test_calibration_monotone_in_cutoff(irr_table_l12):
@@ -111,8 +113,26 @@ def test_step_law_tail_mass_decreases_with_radius(step_law_l13):
 
 def test_build_step_law_rejects_bad_tilt(irr_table_l12):
     m_hat = renewal.calibrate_mass(irr_table_l12, 1.2)
-    with pytest.raises(ValueError, match=r"^step law mass .* deviates from 1 beyond 1e-10$"):
-        renewal.build_step_law(irr_table_l12, 1.2, m_hat + 0.05)
+    for m in (m_hat + 0.05, math.nan):
+        with pytest.raises(ValueError, match=r"^step law mass .* deviates from 1 beyond 1e-10$"):
+            renewal.build_step_law(irr_table_l12, 1.2, m)
+
+
+@pytest.mark.parametrize(
+    "d, cutoff, beta, digest, support",
+    [
+        (2, 13, 1.2, "e071de7daa4b71f4", 57),
+        (3, 9, 1.8, "09e45e72580d07aa", 214),
+        (4, 7, 2.2, "45d008f50d92ab68", 439),
+        (2, 9, 0.9, "f2575a2e73f46bc2", 27),
+    ],
+)
+def test_step_law_golden_digest(d, cutoff, beta, digest, support):
+    # the digest covers d, beta, L, m_hat and every (t, y, p) bit for bit
+    irr = counting.enumerate_counts(d, cutoff, WalkClass.IRREDUCIBLE_BRIDGE)
+    law = renewal.build_step_law(irr, beta, renewal.calibrate_mass(irr, beta))
+    assert renewal.step_law_digest(law) == digest
+    assert len(law.probs) == support
 
 
 def test_truncation_tail_mass_shrinks_with_cutoff(irr_table_l12, irr_table_l13):
@@ -161,7 +181,7 @@ def test_step_law_json_roundtrip(step_law_l13):
     law = step_law_l13
     text = renewal.step_law_to_json(law)
     back = renewal.step_law_from_json(text)
-    assert back == law  # dataclass equality: every float identical
+    assert renewal.step_law_to_json(back) == text  # every field, every float's bits
 
     payload = json.loads(text)
     steps = [(s["t"], tuple(s["y"])) for s in payload["steps"]]
@@ -175,6 +195,42 @@ def test_step_law_json_roundtrip(step_law_l13):
         renewal.step_law_from_json(json.dumps(payload))
 
 
+def law_text(steps, d=2):
+    return json.dumps({
+        "d": d, "beta": 1.2, "L": 6, "m_hat": 0.0,
+        "steps": [{"t": t, "y": y, "p": p} for t, y, p in steps],
+    })
+
+
+UNORDERED = r"steps 0 and 1 are not strictly increasing in \(t, y\)"
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([(1, [0], math.nan)], "step 0 has p nan, not a positive number"),
+        ([(1, [0], 1.1), (2, [0], -0.1)], "step 1 has p -0.1, not a positive number"),
+        ([(1, [0], 0.5), (2, [0], 0.0), (3, [0], 0.5)], "step 1 has p 0.0, not a positive"),
+        ([(1.5, [0.7], 1.0)], "step 0 has t 1.5, not a positive integer"),
+        ([(True, [0], 1.0)], "step 0 has t True, not a positive integer"),
+        ([(0, [0], 0.5), (1, [0], 0.5)], "step 0 has t 0, not a positive integer"),
+        ([(1, [0], 0.5), (2, [1.0], 0.5)], r"step 1 has y \[1.0\], not d - 1 = 1 integers"),
+        ([(1, [False], 1.0)], r"step 0 has y \[False\], not d - 1 = 1 integers"),
+        ([(1, [0, 0], 1.0)], r"step 0 has y \[0, 0\], not d - 1 = 1 integers"),
+        ([(1, 0, 1.0)], "step 0 has y 0, not d - 1 = 1 integers"),
+        ([(1, [0], 0.5), (1, [0], 0.5), (2, [0], 0.5)], UNORDERED),
+        ([(2, [0], 0.5), (1, [0], 0.5)], UNORDERED),
+    ],
+    ids=[
+        "p_nan", "p_negative", "p_zero", "t_float", "t_bool", "t_zero", "y_float",
+        "y_bool", "y_too_wide", "y_not_a_list", "repeated_step", "unsorted_steps",
+    ],
+)
+def test_step_law_from_json_refuses_a_malformed_step(steps, message):
+    with pytest.raises(ValueError, match=f"^step law {message}"):
+        renewal.step_law_from_json(law_text(steps))
+
+
 def test_law_rebuilt_from_cache_is_bitwise_identical(tmp_path, irr_table_l12):
     m_hat = renewal.calibrate_mass(irr_table_l12, 1.2)
     direct = renewal.build_step_law(irr_table_l12, 1.2, m_hat)
@@ -182,7 +238,7 @@ def test_law_rebuilt_from_cache_is_bitwise_identical(tmp_path, irr_table_l12):
     counting.save_count_table(irr_table_l12, cache)
     reloaded = counting.load_count_table(cache)
     rebuilt = renewal.build_step_law(reloaded, 1.2, renewal.calibrate_mass(reloaded, 1.2))
-    assert rebuilt == direct
+    assert renewal.step_law_to_json(rebuilt) == renewal.step_law_to_json(direct)
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 8), (3, 9)])

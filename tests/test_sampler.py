@@ -37,7 +37,10 @@ ORIGIN_1D = (0,)
 
 
 def make_law(probs: dict[FrameSplit, float], d: int = 2) -> StepLaw:
-    return StepLaw(d=d, beta=1.2, cutoff=0, m_hat=0.0, probs=probs)
+    items = sorted(probs.items())
+    steps = np.array([(s.t, *s.y) for s, _ in items], dtype=np.int64).reshape(-1, d)
+    p = np.array([p for _, p in items], dtype=np.float64)
+    return StepLaw(d=d, beta=1.2, cutoff=0, m_hat=0.0, steps=steps, p=p)
 
 
 def calibrated_law(d: int, cutoff: int) -> StepLaw:
@@ -105,9 +108,10 @@ def test_partition_value_outside_the_slabs_is_zero(law_l9):
 
 def test_partition_matches_composition_oracle_truncated_law(step_law_l13):
     # restrict to short legs so the brute-force composition sum stays small
-    sub = {s: p for s, p in step_law_l13.probs.items() if s.t <= 3}
+    sub = step_law_l13.steps[:, 0] <= 3
     trunc = StepLaw(
-        d=2, beta=1.2, cutoff=step_law_l13.cutoff, m_hat=step_law_l13.m_hat, probs=sub
+        d=2, beta=1.2, cutoff=step_law_l13.cutoff, m_hat=step_law_l13.m_hat,
+        steps=step_law_l13.steps[sub], p=step_law_l13.p[sub],
     )
     table = sampler.dp_partition(trunc, 20, radius=40)
     oracle = composition_partition(law_triples(trunc), 20, 40)
@@ -185,7 +189,9 @@ def test_block_dp_repeats_the_per_step_dp_bit_for_bit(data):
     cells = data.draw(st.sampled_from((1, 40, sampler.BLOCK_CELLS)))
     with mock.patch.object(sampler, "BLOCK_CELLS", cells):
         table = sampler.dp_partition(law, n, radius)
-    mantissa, log_scale = per_step_slabs(*sampler.law_arrays(law), n, radius, reach)
+    mantissa, log_scale = per_step_slabs(
+        law.steps[:, 0], law.steps[:, 1:], law.p, n, radius, reach
+    )
     assert table.mantissa.tobytes() == mantissa.tobytes()
     assert table.log_scale.tobytes() == log_scale.tobytes()
 
