@@ -180,22 +180,23 @@ def load_law(config: ExperimentConfig) -> tuple[renewal.StepLaw, str]:
     report = read_json_report(path)
     expected = provenance(config, *LAW_FIELDS)
     try:
-        require_provenance(path, report["config"], expected)
+        stamp, stated = report["config"], report["digest"]
         law = renewal.step_law_from_json(json.dumps(report["law"]))
-        for name, own in zip(LAW_FIELDS, (law.d, law.cutoff, law.beta)):
-            if own != expected[name]:
-                raise ValueError(
-                    f"{path}: the law's own {name} {own!r} disagrees with "
-                    f"the configured {expected[name]!r}"
-                )
-        digest, stated = renewal.step_law_digest(law), report["digest"]
-        if stated != digest:
-            raise ValueError(f"{path}: digest {stated!r} is not the law's own {digest!r}")
-        return law, digest
     except KeyError as err:
         raise ValueError(f"{path}: step-law report has no {err} field") from None
-    except (TypeError, OverflowError) as err:
+    except (TypeError, OverflowError, ValueError) as err:
         raise ValueError(f"{path}: malformed step-law report: {err}") from None
+    require_provenance(path, stamp, expected)
+    for name, own in zip(LAW_FIELDS, (law.d, law.cutoff, law.beta)):
+        if own != expected[name]:
+            raise ValueError(
+                f"{path}: the law's own {name} {own!r} disagrees with "
+                f"the configured {expected[name]!r}"
+            )
+    digest = renewal.step_law_digest(law)
+    if stated != digest:
+        raise ValueError(f"{path}: digest {stated!r} is not the law's own {digest!r}")
+    return law, digest
 
 
 def skeleton_header(d: int) -> list[str]:

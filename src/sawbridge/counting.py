@@ -45,8 +45,8 @@ Every table passes through one dense int64 grid over the box |x_i| <= L
 and the lengths 0..L (L the cutoff), and a code is a site's flat index in
 it.  The search adds each walk into a (code, length) tally of three
 parts; a class's grid is its part of that tally plus one np.flip and
-transpose per orbit map, and `counts` holds its nonzero rows,
-endpoint-sorted.
+transpose per orbit map.  A table is the grid's nonzero endpoints, in C
+order, and their count rows; every reader weights rows by `row_weights`.
 """
 
 from __future__ import annotations
@@ -87,14 +87,27 @@ class WalkClass(Enum):
     IRREDUCIBLE_BRIDGE = "irreducible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
-    """Exact per-endpoint, per-length walk counts up to a step cutoff."""
+    """Exact per-endpoint, per-length walk counts up to a step cutoff: sites
+    holds one read-only int64 row (x_0, ..., x_{d-1}) per endpoint with a
+    nonzero count, in the grid's C order (lexicographic, axis 0 first), and
+    rows their read-only int64 counts by length 0..cutoff."""
 
     d: int
     cutoff: int
     walk_class: WalkClass
-    counts: dict[Site, np.ndarray]
+    sites: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.sites.setflags(write=False)
+        self.rows.setflags(write=False)
+
+    @property
+    def counts(self) -> dict[Site, np.ndarray]:
+        """{site: row} in endpoint order, for perfbench/tracer.py and the tests only."""
+        return dict(zip(map(tuple, self.sites.tolist()), self.rows))
 
 
 def check_dimension(d: int) -> None:
@@ -123,18 +136,11 @@ def _children(walks: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     return *np.nonzero(free), sites[free]
 
 
-def _grid_counts(grid: np.ndarray) -> dict[Site, np.ndarray]:
-    """The read-only rows of a count grid's nonzero endpoints.
-
-    The grid's C order over sites is the endpoint sort order, so the dict
-    comes out sorted.
-    """
-    cutoff = grid.shape[-1] - 1
+def _grid_counts(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A count grid's nonzero endpoints and their rows, in the grid's C
+    order over sites, which is the endpoint sort order."""
     nonzero = grid.any(axis=-1)
-    rows = grid[nonzero]
-    rows.flags.writeable = False
-    sites = (np.argwhere(nonzero) - cutoff).tolist()
-    return dict(zip(map(tuple, sites), rows))
+    return np.argwhere(nonzero) - (grid.shape[-1] - 1), grid[nonzero]
 
 
 def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[list[int], list[int]]]:
@@ -164,8 +170,8 @@ def _orbit_maps(d: int, walk_class: WalkClass) -> list[tuple[list[int], list[int
 
 def _rebuild_table(
     d: int, cutoff: int, walk_class: WalkClass, canonical: np.ndarray
-) -> dict[Site, np.ndarray]:
-    """Endpoint-sorted table of the class from its canonical-walk tally.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint-sorted sites and rows of the class from its canonical-walk tally.
 
     The tally's part for the class (in WalkClass order) fills a grid that
     each orbit map carries onto its walks; the straight walks, which have
@@ -272,8 +278,8 @@ def enumerate_counts(d: int, cutoff: int, walk_class: WalkClass) -> CountTable:
         raise ValueError(
             f"cutoff {cutoff} exceeds {MAX_CUTOFF[d]}, the largest enumerated at d = {d}"
         )
-    counts = _rebuild_table(d, cutoff, walk_class, _canonical_counts(d, cutoff))
-    return CountTable(d=d, cutoff=cutoff, walk_class=walk_class, counts=counts)
+    sites, rows = _rebuild_table(d, cutoff, walk_class, _canonical_counts(d, cutoff))
+    return CountTable(d, cutoff, walk_class, sites, rows)
 
 
 def length_weights(cutoff: int, beta: float) -> np.ndarray:
@@ -283,6 +289,12 @@ def length_weights(cutoff: int, beta: float) -> np.ndarray:
     return np.exp(-beta * np.arange(cutoff + 1, dtype=np.float64))
 
 
+def row_weights(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights sum_N row[N] weights[N] of count rows, one 1-D float64 dot
+    product per row (a matrix-vector product need not add in that order)."""
+    return np.array([float(r @ weights) for r in rows.astype(np.float64)])
+
+
 def total_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
     """Totals c_N over all endpoints, plus the growth sequence c_N^(1/N).
 
@@ -290,21 +302,16 @@ def total_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
     """
     if table.walk_class is not WalkClass.ALL:
         raise ValueError("total_counts requires an ALL-class table")
-    totals = np.zeros(table.cutoff + 1, dtype=np.int64)
-    for row in table.counts.values():
-        totals += row
-    ns = np.arange(1, table.cutoff + 1, dtype=np.float64)
-    growth = totals[1:].astype(np.float64) ** (1.0 / ns) if table.cutoff else np.zeros(0)
+    totals = table.rows.sum(axis=0)
+    growth = totals[1:].astype(np.float64) ** (1.0 / np.arange(1.0, table.cutoff + 1))
     return totals, growth
 
 
 def evaluate_weight(table: CountTable, beta: float, x: Site) -> float:
     """Truncated two-point weight sum_N counts(x)[N] e^{-beta N}."""
     w = length_weights(table.cutoff, beta)
-    row = table.counts.get(tuple(x))
-    if row is None:
-        return 0.0
-    return float(row.astype(np.float64) @ w)
+    match = (table.sites == np.asarray(x)).all(axis=1)
+    return float(row_weights(table.rows[match], w).sum())  # at most one row
 
 
 def mass_estimate(
@@ -317,8 +324,7 @@ def mass_estimate(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     seq = np.zeros(n_max, dtype=np.float64)
     for n in range(1, n_max + 1):
-        x = (n,) + (0,) * (table.d - 1)
-        w = evaluate_weight(table, beta, x)
+        w = evaluate_weight(table, beta, (n,) + (0,) * (table.d - 1))
         if w <= 0.0:
             raise ValueError(
                 f"zero truncated weight at axis distance {n}; increase the cutoff"
@@ -337,13 +343,10 @@ def slab_rates(table: CountTable, beta: float, n_max: int) -> np.ndarray:
     """
     if not 1 <= n_max <= table.cutoff:
         raise ValueError(f"n_max must lie in 1..{table.cutoff}")
-    w = length_weights(table.cutoff, beta)
-    slabs = defaultdict(list)
-    for site, row in table.counts.items():
-        slabs[site[0]].append(float(row.astype(np.float64) @ w))
+    weights = row_weights(table.rows, length_weights(table.cutoff, beta))
     rates = np.zeros(n_max)
     for n in range(1, n_max + 1):
-        total = math.fsum(slabs[n])
+        total = math.fsum(weights[table.sites[:, 0] == n].tolist())
         if total <= 0.0:
             raise ValueError(f"empty slab at n={n}; cutoff too small")
         rates[n - 1] = math.log(total) / n
@@ -453,13 +456,13 @@ def _row_items(rows: np.ndarray) -> np.ndarray:
 
 
 def length_law(rows: dict, weights: np.ndarray) -> dict:
-    """Probabilities from per-key count rows by length 0..cutoff: each
-    weight sum_N row[N] weights[N] is one 1-D dot product, divided by the
-    math.fsum of all of them; keys come out sorted.  Both skeleton laws end
-    here, so equal rows give equal laws, bit for bit."""
-    weighted = {k: float(r.astype(np.float64) @ weights) for k, r in sorted(rows.items())}
-    total = math.fsum(weighted.values())
-    return {key: weight / total for key, weight in weighted.items()}
+    """Probabilities from per-key count rows by length 0..cutoff: each key's
+    `row_weights` weight over their math.fsum, keys sorted.  Both skeleton
+    laws end here, so equal rows give equal laws, bit for bit."""
+    keys = sorted(rows)
+    weighted = row_weights(np.array([rows[key] for key in keys]), weights).tolist()
+    total = math.fsum(weighted)
+    return {key: weight / total for key, weight in zip(keys, weighted)}
 
 
 def exact_conditioned_skeleton_law(
@@ -516,24 +519,18 @@ def save_count_table(table: CountTable, path: str | Path, config: dict | None = 
     records, followed by a SHA-256 digest of everything before it.
     """
     meta = json.dumps(config or {}, sort_keys=True, separators=(",", ":")).encode()
-    records = np.array(
-        sorted(table.counts.items()), dtype=_record_dtype(table.d, table.cutoff)
-    )
-    header = _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        table.d,
-        table.cutoff,
-        _CLASS_CODES[table.walk_class],
-        len(meta),
-    )
+    records = np.empty(len(table.sites), dtype=_record_dtype(table.d, table.cutoff))
+    records["site"], records["row"] = table.sites, table.rows
+    codes = (table.d, table.cutoff, _CLASS_CODES[table.walk_class], len(meta))
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, *codes)
     body = header + meta + _COUNT.pack(len(records)) + records.tobytes()
     write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_count_table(path: str | Path) -> CountTable:
-    """Read a binary count cache, verifying digest, header, lengths, and
-    that no endpoint repeats."""
+    """Read a binary count cache, verifying digest, header and lengths, and
+    that its endpoints are strictly increasing, within the cutoff's reach
+    and each counted at some length."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size + _COUNT.size + 32:
         raise ValueError(f"{path}: truncated count cache")
@@ -551,9 +548,7 @@ def load_count_table(path: str | Path) -> CountTable:
         raise ValueError(f"{path}: unknown class code {class_code}")
     off = _HEADER.size + meta_len  # config blob is advisory; counts are authoritative
     if off + _COUNT.size > len(body):
-        raise ValueError(
-            f"{path}: config blob of {meta_len} bytes overruns the cache"
-        )
+        raise ValueError(f"{path}: config blob of {meta_len} bytes overruns the cache")
     (n_endpoints,) = _COUNT.unpack_from(body, off)
     off += _COUNT.size
     record = 4 * d + 8 * (cutoff + 1)  # the packed _record_dtype
@@ -563,11 +558,18 @@ def load_count_table(path: str | Path) -> CountTable:
             f"with the {len(body) - off} bytes after the header"
         )
     records = np.frombuffer(body, dtype=_record_dtype(d, cutoff), offset=off)
-    rows = records["row"].astype(np.int64)
-    rows.flags.writeable = False
-    counts = dict(zip(map(tuple, records["site"].tolist()), rows))
-    if len(counts) != n_endpoints:
-        raise ValueError(f"{path}: repeated endpoint in count cache")
-    return CountTable(
-        d=d, cutoff=cutoff, walk_class=_CODE_CLASSES[class_code], counts=counts
-    )
+    sites, rows = records["site"].astype(np.int64), records["row"].astype(np.int64)
+    # each site against the one before (the first against itself - 1) by their
+    # first unequal coordinate: a flat site code could overflow at a large cutoff
+    step = np.diff(sites, axis=0, prepend=sites[:1] - 1)
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    for bad, problem in (
+        (lead == 0, "is a repeated endpoint"),
+        (lead < 0, "is out of increasing order"),
+        (np.abs(sites).sum(axis=1) > cutoff, f"lies beyond the cutoff {cutoff}"),
+        (~rows.any(axis=1), "has an all-zero count row"),
+    ):
+        if bad.any():
+            site = tuple(sites[bad.argmax()].tolist())
+            raise ValueError(f"{path}: count cache endpoint {site} {problem}")
+    return CountTable(d, cutoff, _CODE_CLASSES[class_code], sites, rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import BLOCK_CELLS, CountTable, WalkClass
-from .counting import length_law, length_weights
+from .counting import length_law, length_weights, row_weights
 from .lattice import FrameSplit
 
 NORMALIZATION_TOL = 1e-10
@@ -49,6 +49,10 @@ class StepLaw:
         self.steps.setflags(write=False)
         self.p.setflags(write=False)
 
+    def __reduce__(self) -> tuple:
+        # rebuilt through the constructor, so an unpickled law is read-only too
+        return StepLaw, (self.d, self.beta, self.cutoff, self.m_hat, self.steps, self.p)
+
     @property
     def probs(self) -> dict[FrameSplit, float]:
         """The law as {FrameSplit(t, y): p} in (t, y) order: the form the
@@ -70,19 +74,17 @@ def forward_weights(table: CountTable, beta: float) -> tuple[np.ndarray, np.ndar
     the int64 (t, y) rows with f > 0, sorted by (t, y), and their f.
     Refuses a table with no such row."""
     _require_irreducible(table)
-    w = length_weights(table.cutoff, beta)
-    sites = sorted(s for s in table.counts if s[0] >= 1)
-    f = np.array([float(table.counts[s].astype(np.float64) @ w) for s in sites])
+    forward = table.sites[:, 0] >= 1
+    f = row_weights(table.rows[forward], length_weights(table.cutoff, beta))
     if not np.any(f > 0.0):
         raise ValueError("no forward irreducible steps; cutoff too small")
-    steps = np.array(sites, dtype=np.int64)
-    return steps[f > 0.0], f[f > 0.0]
+    return table.sites[forward][f > 0.0], f[f > 0.0]
 
 
 def tilt(steps: np.ndarray, f: np.ndarray, m: float) -> tuple[np.ndarray, float]:
     """Tilted weights f(x) e^{-m x_1} and their math.fsum total; e^{-m k} is
     one math.exp per step length k (np.exp need not round as math.exp)."""
-    e = np.array([math.exp(-m * k) for k in range(int(steps[:, 0].max()) + 1)])
+    e = np.array([math.exp(-m * k) for k in range(int(steps[:, 0].max(initial=0)) + 1)])
     q = f * e[steps[:, 0]]
     return q, math.fsum(q.tolist())
 
@@ -127,19 +129,13 @@ def build_step_law(irr_table: CountTable, beta: float, m_hat: float) -> StepLaw:
 
 
 def truncation_tail_mass(irr_table: CountTable, beta: float, m_hat: float) -> float:
-    """Tilted mass carried by the longest counted irreducible bridges.
-
-    The last length shell of the calibrated law: a convergence indicator
-    for the cutoff (small means the truncation has stabilized).
-    """
+    """Tilted mass of the last length shell, `tilt` of the forward counts at
+    length cutoff times e^{-beta cutoff}: a convergence indicator for the
+    cutoff (small means the truncation has stabilized)."""
     _require_irreducible(irr_table)
-    length = irr_table.cutoff
-    shell = math.exp(-beta * length)
-    return math.fsum(
-        int(row[length]) * shell * math.exp(-m_hat * site[0])
-        for site, row in irr_table.counts.items()
-        if site[0] >= 1 and row[length]
-    )
+    forward = irr_table.sites[:, 0] >= 1
+    last = irr_table.rows[forward, -1] * math.exp(-beta * irr_table.cutoff)
+    return tilt(irr_table.sites[forward], last, m_hat)[1]
 
 
 def product_skeleton_law(
@@ -165,11 +161,10 @@ def product_skeleton_law(
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
     cutoff, width = irr_table.cutoff, irr_table.cutoff + 1
-    sites = [s for s, row in irr_table.counts.items() if 1 <= s[0] <= n and row.any()]
-    rows = np.array([irr_table.counts[s] for s in sites], dtype=np.int64).reshape(-1, width)
-    coords = np.array(sites, dtype=np.int64).reshape(-1, irr_table.d)
+    keep = (irr_table.sites[:, 0] >= 1) & (irr_table.sites[:, 0] <= n)
+    coords, rows = irr_table.sites[keep], irr_table.rows[keep]
     step_t, step_y, min_len = coords[:, 0], coords[:, 1:], (rows > 0).argmax(axis=1)
-    block = max(1, BLOCK_CELLS // max(1, len(sites)))
+    block = max(1, BLOCK_CELLS // max(1, len(coords)))
 
     law: dict[tuple[int, ...], np.ndarray] = {}
     # the empty sequence: no steps, t = 0, y = 0̃, no length, the unit row

@@ -588,6 +588,29 @@ def repeat_first_endpoint(body) -> None:
     body[second : second + 4 * d] = body[first : first + 4 * d]
 
 
+def record_layout(body) -> tuple[int, int, int]:
+    """The first record's offset, the size of one record, and d."""
+    d, cutoff = (int.from_bytes(body[i : i + 4], "little") for i in (12, 16))
+    return 25 + int.from_bytes(body[21:25], "little") + 8, 4 * d + 8 * (cutoff + 1), d
+
+
+def swap_first_two_records(body) -> None:
+    first, size, _ = record_layout(body)
+    second, end = first + size, first + 2 * size
+    body[first:end] = body[second:end] + body[first:second]
+
+
+def move_last_endpoint_beyond_the_cutoff(body) -> None:
+    _, size, d = record_layout(body)
+    last = len(body) - size
+    body[last : last + 4 * d] = np.array([50] + [0] * (d - 1), dtype="<i4").tobytes()
+
+
+def zero_first_row(body) -> None:
+    first, size, d = record_layout(body)
+    body[first + 4 * d : first + size] = bytes(size - 4 * d)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -595,6 +618,9 @@ def repeat_first_endpoint(body) -> None:
         (inflate_config_length, "overruns the cache"),
         (inflate_cutoff, "records of 8000000016 bytes disagree"),
         (repeat_first_endpoint, "repeated endpoint"),
+        (swap_first_two_records, "out of increasing order"),
+        (move_last_endpoint_beyond_the_cutoff, "beyond the cutoff 10"),
+        (zero_first_row, "all-zero count row"),
     ],
 )
 def test_a_malformed_count_cache_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
@@ -734,7 +760,7 @@ def test_sample_refuses_a_law_that_lists_a_step_twice(pipeline_dir, tmp_path, ca
     capsys.readouterr()
     assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert err == f"error: {path}: malformed step-law report: {message}\n"
     assert not list(tmp_path.glob("skeletons_n*.csv"))
 
 

@@ -433,6 +433,23 @@ def test_cache_roundtrip(tmp_path):
         counting.load_count_table(empty)
 
 
+def test_cache_endpoint_order_is_checked_at_a_large_cutoff(tmp_path):
+    # a flat code over the box |x_i| <= 40000 at d = 4 would overflow int64,
+    # so the reader compares endpoints one coordinate at a time
+    cutoff = 40_000
+    sites = np.array([[-cutoff, 0, 0, 0], [0, 0, 0, cutoff]])
+    rows = np.zeros((2, cutoff + 1), dtype=np.int64)
+    rows[:, cutoff] = 1
+    path = tmp_path / "wide.bin"
+    counting.save_count_table(counting.CountTable(4, cutoff, WalkClass.ALL, sites, rows), path)
+    loaded = counting.load_count_table(path)
+    assert np.array_equal(loaded.sites, sites) and np.array_equal(loaded.rows, rows)
+    swapped = counting.CountTable(4, cutoff, WalkClass.ALL, sites[::-1].copy(), rows)
+    counting.save_count_table(swapped, path)
+    with pytest.raises(ValueError, match=r"\(-40000, 0, 0, 0\) is out of increasing order$"):
+        counting.load_count_table(path)
+
+
 # the case ids are the ones these digests have long been recorded under:
 # "1-6" runs the default block, "2-3" a block of 3 walks that splits
 # every level of the frontier

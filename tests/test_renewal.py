@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,6 +146,27 @@ def test_truncation_tail_mass_shrinks_with_cutoff(irr_table_l12, irr_table_l13):
     assert shell13 < shell12
 
 
+@pytest.mark.parametrize(
+    "d, cutoff, beta, tail_mass, endpoints",
+    [
+        (2, 13, 1.2, "0.0010388918313444329", 58),
+        (3, 9, 1.8, "0.005670244546988809", 215),
+        (4, 7, 2.2, "0.014501184249933442", 440),
+    ],
+)
+def test_truncation_tail_mass_golden(d, cutoff, beta, tail_mass, endpoints):
+    # every bit of the last length shell's tilted mass, as calibrate reports it
+    irr = counting.enumerate_counts(d, cutoff, WalkClass.IRREDUCIBLE_BRIDGE)
+    m_hat = renewal.calibrate_mass(irr, beta)
+    assert repr(renewal.truncation_tail_mass(irr, beta, m_hat)) == tail_mass
+    assert len(irr.counts) == endpoints
+
+
+def test_truncation_tail_mass_without_a_forward_row_is_zero():
+    empty = counting.enumerate_counts(2, 0, WalkClass.IRREDUCIBLE_BRIDGE)
+    assert renewal.truncation_tail_mass(empty, 1.2, -1.2) == 0.0
+
+
 def test_mass_gap_diagnostic(bridge_table_l12, irr_table_l12):
     bridge = counting.slab_rates(bridge_table_l12, 1.2, 4)
     irreducible = counting.slab_rates(irr_table_l12, 1.2, 4)
@@ -193,6 +215,14 @@ def test_step_law_json_roundtrip(step_law_l13):
     payload["steps"][0]["p"] *= 2.0
     with pytest.raises(ValueError, match="^step law mass is off after deserialization$"):
         renewal.step_law_from_json(json.dumps(payload))
+
+
+def test_step_law_stays_read_only_through_pickle(step_law_l13):
+    # the sampling pool sends the law to its workers by pickle
+    back = pickle.loads(pickle.dumps(step_law_l13))
+    assert not back.steps.flags.writeable
+    assert not back.p.flags.writeable
+    assert renewal.step_law_to_json(back) == renewal.step_law_to_json(step_law_l13)
 
 
 def law_text(steps, d=2):
