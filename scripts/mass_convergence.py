@@ -21,8 +21,7 @@ import argparse
 import sys
 import time
 
-from sawbridge import counting, renewal, sampler
-from sawbridge.cli import EXIT_VALIDATION
+from sawbridge import cli, counting, renewal, sampler
 
 
 def report(args: argparse.Namespace) -> None:
@@ -34,17 +33,16 @@ def report(args: argparse.Namespace) -> None:
         table = counting.enumerate_counts(
             args.d, cutoff, counting.WalkClass.IRREDUCIBLE_BRIDGE
         )
-        m_hat = renewal.calibrate_mass(table, args.beta)
-        shell = renewal.truncation_tail_mass(table, args.beta, m_hat)
-        law = renewal.build_step_law(table, args.beta, m_hat)
+        law = cli.calibrated_law(table, args.beta)
+        shell = renewal.truncation_tail_mass(table, args.beta, law.m_hat)
         variance = sampler.transverse_step_variance(law)
         elapsed = time.perf_counter() - started
-        note = "" if previous is None or m_hat > previous else "  <-- not increasing"
+        note = "" if previous is None or law.m_hat > previous else "  <-- not increasing"
         print(
-            f"{cutoff:>3} {m_hat:>20.16f} {shell:>13.3e}"
+            f"{cutoff:>3} {law.m_hat:>20.16f} {shell:>13.3e}"
             f" {variance:>10.6f} {elapsed:>7.2f}{note}"
         )
-        previous = m_hat
+        previous = law.m_hat
 
 
 def main() -> int:
@@ -57,7 +55,7 @@ def main() -> int:
         report(parser.parse_args())
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return cli.EXIT_VALIDATION
     return 0
 
 

@@ -100,8 +100,6 @@ def process_path(config: ExperimentConfig, n: int) -> Path:
 
 def cmd_enumerate(config: ExperimentConfig) -> None:
     """Count walks, bridges and irreducible bridges; write the count caches."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     tables = {
         walk_class: counting.enumerate_counts(config.d, config.cutoff, walk_class)
         for walk_class in WalkClass
@@ -119,26 +117,29 @@ def cmd_enumerate(config: ExperimentConfig) -> None:
         for length in range(1, len(totals))
     ]
     write_csv_report(
-        out / f"totals_d{config.d}_L{config.cutoff}.csv",
+        Path(config.out) / f"totals_d{config.d}_L{config.cutoff}.csv",
         ["N", "count", "growth"],
         rows,
         provenance(config, "d", "cutoff"),
     )
 
 
+def calibrated_law(irr_table: counting.CountTable, beta: float) -> renewal.StepLaw:
+    """The step law of an irreducible table, tilted at its calibrated mass."""
+    return renewal.build_step_law(irr_table, beta, renewal.calibrate_mass(irr_table, beta))
+
+
 def cmd_calibrate(config: ExperimentConfig) -> None:
     """Calibrate the tilted step law from the irreducible count cache."""
     irr_table = load_irreducible_table(config)
-    m_hat = renewal.calibrate_mass(irr_table, config.beta)
-    law = renewal.build_step_law(irr_table, config.beta, m_hat)
+    law = calibrated_law(irr_table, config.beta)
     payload = {
-        "m_hat": m_hat,
-        "tail_mass": renewal.truncation_tail_mass(irr_table, config.beta, m_hat),
+        "m_hat": law.m_hat,
+        "tail_mass": renewal.truncation_tail_mass(irr_table, config.beta, law.m_hat),
         "total_mass": law.total_mass(),
         "digest": renewal.step_law_digest(law),
         "law": json.loads(renewal.step_law_to_json(law)),
     }
-    Path(config.out).mkdir(parents=True, exist_ok=True)
     write_json_report(law_path(config), payload, provenance(config, *LAW_FIELDS))
 
 
@@ -204,24 +205,29 @@ def skeleton_header(d: int) -> list[str]:
     return ["replicate", "k", "step_index", "t", *(f"y{j}" for j in range(1, d))]
 
 
+def draw(
+    config: ExperimentConfig, law: renewal.StepLaw, n: int
+) -> tuple[float, sampler.SkeletonBatch]:
+    """Span n's partition table, refused when its box leaks, then the
+    config's replicas sampled from it: the leakage and the batch."""
+    table = sampler.dp_partition(law, n, config.box_radius)
+    require_leakage(table)
+    batch = sampler.sample_skeletons(
+        law,
+        table,
+        seed=config.seed,
+        replicates=range(config.replicas),
+        threads=config.threads,
+    )
+    return table.leakage, batch
+
+
 def cmd_sample(config: ExperimentConfig) -> None:
     """Sample pinned skeletons at each span; write skeleton and process CSVs."""
     law, digest = load_law(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     for n in config.spans:
-        table = sampler.dp_partition(law, n, config.box_radius)
-        require_leakage(table)
-        batch = sampler.sample_skeletons(
-            law,
-            table,
-            seed=config.seed,
-            replicates=range(config.replicas),
-            threads=config.threads,
-        )
-        stamp = provenance(
-            config, *SKELETON_FIELDS, n=n, law_digest=digest, leakage=table.leakage
-        )
+        leakage, batch = draw(config, law, n)
+        stamp = provenance(config, *SKELETON_FIELDS, n=n, law_digest=digest, leakage=leakage)
         write_csv_report(
             skeleton_path(config, n),
             skeleton_header(config.d),
@@ -342,21 +348,12 @@ def cmd_oracle(config: ExperimentConfig) -> None:
         config.d, n, config.beta, config.cutoff
     )
     product = renewal.product_skeleton_law(irr_table, config.beta, n)
-    keys = sorted(set(exact) | set(product))
-    max_abs = max(
-        abs(exact.get(key, 0.0) - product.get(key, 0.0)) for key in keys
-    )
-    m_hat = renewal.calibrate_mass(irr_table, config.beta)
-    law = renewal.build_step_law(irr_table, config.beta, m_hat)
-    table = sampler.dp_partition(law, n, config.box_radius)
-    require_leakage(table)
-    frequencies = sampler.sample_skeletons(
-        law,
-        table,
-        seed=config.seed,
-        replicates=range(config.replicas),
-        threads=config.threads,
-    ).tally()
+    frequencies = draw(config, calibrated_law(irr_table, config.beta), n)[1].tally()
+    rows = []
+    for key in sorted(set(exact) | set(product)):
+        e, p = exact.get(key, 0.0), product.get(key, 0.0)
+        rows.append([encode_skeleton(key, config.d), e, p, abs(e - p)])
+    max_abs = max(row[3] for row in rows)
     # exactly rounded, so the keys' order cannot move the last bits
     tv = 0.5 * math.fsum(
         abs(frequencies.get(key, 0) / config.replicas - exact.get(key, 0.0))
@@ -372,25 +369,10 @@ def cmd_oracle(config: ExperimentConfig) -> None:
         "product_mass": math.fsum(product.values()),
     }
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = provenance(
-        config, "d", "cutoff", "beta", "replicas", "seed", "box_radius", n=n
-    )
+    stamp = provenance(config, *LAW_FIELDS, "replicas", "seed", "box_radius", n=n)
     write_json_report(out / f"oracle_n{n}.json", payload, stamp)
-    write_csv_report(
-        out / f"oracle_law_n{n}.csv",
-        ["skeleton", "exact", "product", "abs_diff"],
-        [
-            [
-                encode_skeleton(key, config.d),
-                exact.get(key, 0.0),
-                product.get(key, 0.0),
-                abs(exact.get(key, 0.0) - product.get(key, 0.0)),
-            ]
-            for key in keys
-        ],
-        stamp,
-    )
+    header = ["skeleton", "exact", "product", "abs_diff"]
+    write_csv_report(out / f"oracle_law_n{n}.csv", header, rows, stamp)
     if max_abs > ORACLE_TOLERANCE:
         raise ThresholdError(
             f"skeleton law mismatch {max_abs:.3e} exceeds {ORACLE_TOLERANCE:.1e}"

@@ -307,24 +307,21 @@ def total_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
     return totals, growth
 
 
-def evaluate_weight(table: CountTable, beta: float, x: Site) -> float:
-    """Truncated two-point weight sum_N counts(x)[N] e^{-beta N}."""
-    w = length_weights(table.cutoff, beta)
-    match = (table.sites == np.asarray(x)).all(axis=1)
-    return float(row_weights(table.rows[match], w).sum())  # at most one row
-
-
 def mass_estimate(
     table: CountTable, beta: float, n_max: int
 ) -> tuple[np.ndarray, float]:
-    """Finite-n decay-rate sequence -log w(n, 0̃)/n and its last value."""
+    """Finite-n decay-rate sequence -log w(n, 0̃)/n and its last value, w the
+    truncated two-point weight sum_N counts(n, 0̃)[N] e^{-beta N}."""
     if table.walk_class is not WalkClass.ALL:
         raise ValueError("mass_estimate requires an ALL-class table")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    axial = ~table.sites[:, 1:].any(axis=1)
+    weights = row_weights(table.rows[axial], length_weights(table.cutoff, beta))
+    on_axis = dict(zip(table.sites[axial, 0].tolist(), weights.tolist()))
     seq = np.zeros(n_max, dtype=np.float64)
     for n in range(1, n_max + 1):
-        w = evaluate_weight(table, beta, (n,) + (0,) * (table.d - 1))
+        w = on_axis.get(n, 0.0)
         if w <= 0.0:
             raise ValueError(
                 f"zero truncated weight at axis distance {n}; increase the cutoff"
@@ -530,7 +527,8 @@ def save_count_table(table: CountTable, path: str | Path, config: dict | None = 
 def load_count_table(path: str | Path) -> CountTable:
     """Read a binary count cache, verifying digest, header and lengths, and
     that its endpoints are strictly increasing, within the cutoff's reach
-    and each counted at some length."""
+    and each counted at some length, and that no count is negative or at a
+    length no walk to its endpoint has: below |x|_1 or of the other parity."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size + _COUNT.size + 32:
         raise ValueError(f"{path}: truncated count cache")
@@ -563,11 +561,16 @@ def load_count_table(path: str | Path) -> CountTable:
     # first unequal coordinate: a flat site code could overflow at a large cutoff
     step = np.diff(sites, axis=0, prepend=sites[:1] - 1)
     lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    reach = np.abs(sites).sum(axis=1)
+    gap = np.arange(cutoff + 1) - reach[:, None]
+    unreachable = (rows != 0) & ((gap < 0) | (gap % 2 == 1))
     for bad, problem in (
         (lead == 0, "is a repeated endpoint"),
         (lead < 0, "is out of increasing order"),
-        (np.abs(sites).sum(axis=1) > cutoff, f"lies beyond the cutoff {cutoff}"),
+        (reach > cutoff, f"lies beyond the cutoff {cutoff}"),
         (~rows.any(axis=1), "has an all-zero count row"),
+        ((rows < 0).any(axis=1), "has a negative count"),
+        (unreachable.any(axis=1), "has a count at a length no walk to it has"),
     ):
         if bad.any():
             site = tuple(sites[bad.argmax()].tolist())

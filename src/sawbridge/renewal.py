@@ -226,20 +226,29 @@ def step_law_digest(law: StepLaw) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _typed(payload: dict, name: str, *kinds: type):
+    """payload[name], refused unless its type is one of kinds."""
+    if type(payload[name]) not in kinds:
+        kind = "an integer" if kinds == (int,) else "a number"
+        raise ValueError(f"step law {name} {payload[name]!r} is not {kind}")
+    return payload[name]
+
+
 def step_law_from_json(text: str) -> StepLaw:
-    """The law `step_law_to_json` wrote.  Refuses a step whose t is not a
-    positive integer, whose y is not d - 1 integers or whose p is not
-    positive, steps not strictly increasing in (t, y), and a mass off one."""
+    """The law `step_law_to_json` wrote.  Refuses a d, L or t that is not an
+    integer, a beta, m_hat or p that is not a number, a t or p that is not
+    positive, a y that is not d - 1 integers, steps not strictly increasing
+    in (t, y), and a mass off one."""
     payload = json.loads(text)
-    d, rows, p = int(payload["d"]), [], []
+    # type(), not isinstance(): JSON true is a bool, which is an int
+    d, rows, p = _typed(payload, "d", int), [], []
     for i, s in enumerate(payload["steps"]):
-        t, y, p_i = s["t"], s["y"], float(s["p"])
-        # type(), not isinstance(): JSON true is a bool, which is an int
+        t, y, p_i = s["t"], s["y"], s["p"]
         if type(t) is not int or t < 1:
             raise ValueError(f"step law step {i} has t {t!r}, not a positive integer")
         if type(y) is not list or len(y) != d - 1 or any(type(c) is not int for c in y):
             raise ValueError(f"step law step {i} has y {y!r}, not d - 1 = {d - 1} integers")
-        if not p_i > 0.0:
+        if type(p_i) not in (int, float) or not p_i > 0.0:
             raise ValueError(f"step law step {i} has p {p_i!r}, not a positive number")
         if rows and not rows[-1] < (t, *y):
             raise ValueError(
@@ -248,7 +257,8 @@ def step_law_from_json(text: str) -> StepLaw:
         rows.append((t, *y))
         p.append(p_i)
     steps = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    beta, cutoff, m_hat = float(payload["beta"]), int(payload["L"]), float(payload["m_hat"])
+    cutoff = _typed(payload, "L", int)
+    beta, m_hat = (float(_typed(payload, name, int, float)) for name in ("beta", "m_hat"))
     law = StepLaw(d, beta, cutoff, m_hat, steps, np.array(p, dtype=np.float64))
     if not abs(law.total_mass() - 1.0) <= NORMALIZATION_TOL:
         raise ValueError("step law mass is off after deserialization")

@@ -14,8 +14,9 @@ written with str, which for floats is repr, the shortest digits that
 round-trip; an integer table given as a 2-D ndarray is formatted with %d,
 which gives the same bytes as str, and read_int_csv_report parses such a
 table straight into an int64 array.  Every file is written atomically
-(see write_atomic), so an interrupted run leaves the previous file or the
-new one under the final name, never a part of one.
+(see write_atomic), into a directory it creates if need be, so an
+interrupted run leaves the previous file or the new one under the final
+name, never a part of one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def content_digest(text: str) -> str:
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then rename it onto path.
+    """Write data to a temporary file beside path, then rename it onto path;
+    path's directory is created first if it is missing.
 
     The rename is atomic, so readers and later runs see either the old
     file or the complete new one; a failed write removes its temporary
@@ -52,6 +54,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     process, not against a power loss.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as handle:

@@ -96,15 +96,6 @@ def naive_counts(d: int, max_steps: int, kind: str) -> dict[Site, list[int]]:
     return counts
 
 
-def naive_totals(d: int, max_steps: int) -> list[int]:
-    counts = naive_counts(d, max_steps, "all")
-    totals = [0] * (max_steps + 1)
-    for row in counts.values():
-        for n, c in enumerate(row):
-            totals[n] += c
-    return totals
-
-
 def naive_bridges_to(d: int, n: int, max_steps: int) -> list[Path]:
     """All bridges from the origin to (n, 0, ..., 0) with <= max_steps steps."""
     target = (n,) + (0,) * (d - 1)

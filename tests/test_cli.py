@@ -611,6 +611,27 @@ def zero_first_row(body) -> None:
     body[first + 4 * d : first + size] = bytes(size - 4 * d)
 
 
+def write_count(body, record: int, length: int, count: int) -> None:
+    """Set one count of the record-th record (0 the first)."""
+    first, size, d = record_layout(body)
+    at = first + record * size + 4 * d + 8 * length
+    body[at : at + 8] = count.to_bytes(8, "little", signed=True)
+
+
+def negate_the_origins_count(body) -> None:
+    # the first endpoint is (0, 0), counted once at length 0
+    write_count(body, 0, 0, -1)
+
+
+def count_an_endpoint_below_its_distance(body) -> None:
+    # the second endpoint is (1, -9), counted only at length 10
+    write_count(body, 1, 8, 1)
+
+
+def count_the_origin_at_an_odd_length(body) -> None:
+    write_count(body, 0, 1, 1)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -621,12 +642,21 @@ def zero_first_row(body) -> None:
         (swap_first_two_records, "out of increasing order"),
         (move_last_endpoint_beyond_the_cutoff, "beyond the cutoff 10"),
         (zero_first_row, "all-zero count row"),
+        (negate_the_origins_count, "endpoint (0, 0) has a negative count"),
+        (
+            count_an_endpoint_below_its_distance,
+            "endpoint (1, -9) has a count at a length no walk to it has",
+        ),
+        (
+            count_the_origin_at_an_odd_length,
+            "endpoint (0, 0) has a count at a length no walk to it has",
+        ),
     ],
 )
 def test_a_malformed_count_cache_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
     path = tmp_path / "counts_d2_L10_irreducible.bin"
     path.write_bytes(rehashed_cache(pipeline_dir / path.name, edit))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         counting.load_count_table(path)
     capsys.readouterr()
     assert run("calibrate", "--d", "2", "--L", "10", "--out", tmp_path) == 2
@@ -754,6 +784,40 @@ def test_sample_refuses_a_law_that_lists_a_step_twice(pipeline_dir, tmp_path, ca
     steps.insert(0, dict(steps[0]))
     write_json_report(path, report, stamp)
     message = r"step law steps 0 and 1 are not strictly increasing in (t, y)"
+    config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.load_law(config)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: malformed step-law report: {message}\n"
+    assert not list(tmp_path.glob("skeletons_n*.csv"))
+
+
+@pytest.mark.parametrize(
+    "keys, retype, refusal",
+    [
+        (("L",), float, "step law L 10.0 is not an integer"),
+        (("beta",), str, "step law beta '1.2' is not a number"),
+        (("steps", 0, "p"), str, "step law step 0 has p '{}', not a positive number"),
+    ],
+    ids=["L_float", "beta_string", "p_string"],
+)
+def test_sample_refuses_a_law_whose_scalars_are_not_json_numbers(
+    pipeline_dir, tmp_path, capsys, keys, retype, refusal
+):
+    # a hash-valid report, its digest the law's own: coerced by int() or
+    # float(), its law would be the stated law
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    stamp = report.pop("config")
+    *parents, field = keys
+    node = report["law"]
+    for key in parents:
+        node = node[key]
+    message = refusal.format(node[field])
+    node[field] = retype(node[field])
+    write_json_report(path, report, stamp)
     config = cli.resolve_config(None, {"d": 2, "cutoff": 10, "out": str(tmp_path)})
     with pytest.raises(ValueError, match=re.escape(message)):
         cli.load_law(config)

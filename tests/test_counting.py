@@ -118,28 +118,26 @@ def test_cutoff_zero_table():
     assert list(table.counts) == [(0, 0)]
 
 
-def test_evaluate_weight_examples():
+def test_row_weight_examples():
     irr = counting.enumerate_counts(2, 1, WalkClass.IRREDUCIBLE_BRIDGE)
-    assert counting.evaluate_weight(irr, 1.2, (1, 0)) == pytest.approx(
-        math.exp(-1.2), rel=1e-15
-    )
-    assert counting.evaluate_weight(irr, 1.2, (5, 5)) == 0.0
+    weights = counting.row_weights(irr.rows, counting.length_weights(1, 1.2))
+    assert list(irr.counts) == [(0, 0), (1, 0)]
+    assert weights.tolist() == [1.0, pytest.approx(math.exp(-1.2), rel=1e-15)]
 
     # exactly two 3-step walks return to (1,0): up-right-down and down-right-up
     naive = oracles.naive_counts(2, 3, "all")
     assert naive[(1, 0)] == [0, 1, 0, 2]
     table = counting.enumerate_counts(2, 3, WalkClass.ALL)
     expected = math.exp(-1.2) + 2 * math.exp(-3.6)
-    assert counting.evaluate_weight(table, 1.2, (1, 0)) == pytest.approx(
-        expected, rel=1e-14
-    )
+    seq, _ = counting.mass_estimate(table, 1.2, 1)
+    assert math.exp(-seq[0]) == pytest.approx(expected, rel=1e-14)
 
     # truncated weights grow with the cutoff
     wider = counting.enumerate_counts(2, 5, WalkClass.ALL)
-    assert counting.evaluate_weight(wider, 1.2, (1, 0)) >= expected
+    assert counting.mass_estimate(wider, 1.2, 1)[0][0] <= seq[0]
 
     with pytest.raises(ValueError):
-        counting.evaluate_weight(table, 0.0, (1, 0))
+        counting.mass_estimate(table, 0.0, 1)
 
 
 def test_mass_estimate_behaviour():
@@ -700,12 +698,13 @@ def test_length_weights_refuse_a_beta_that_is_not_positive_and_finite(beta):
 def test_weights_and_skeleton_laws_refuse_an_infinite_beta():
     # at beta = inf the weight of length 0 would be -inf * 0, a NaN
     irr = irreducible_table(2, 9)
+    walks = counting.enumerate_counts(2, 9, WalkClass.ALL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (
             lambda: counting.exact_conditioned_skeleton_law(2, 3, math.inf, 9),
             lambda: renewal.product_skeleton_law(irr, math.inf, 3),
-            lambda: counting.evaluate_weight(irr, math.inf, (1, 0)),
+            lambda: counting.mass_estimate(walks, math.inf, 3),
         ):
             with pytest.raises(ValueError, match="positive and finite, got inf"):
                 call()

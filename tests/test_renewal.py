@@ -241,6 +241,8 @@ UNORDERED = r"steps 0 and 1 are not strictly increasing in \(t, y\)"
         ([(1, [0], math.nan)], "step 0 has p nan, not a positive number"),
         ([(1, [0], 1.1), (2, [0], -0.1)], "step 1 has p -0.1, not a positive number"),
         ([(1, [0], 0.5), (2, [0], 0.0), (3, [0], 0.5)], "step 1 has p 0.0, not a positive"),
+        ([(1, [0], "1.0")], "step 0 has p '1.0', not a positive number"),
+        ([(1, [0], True)], "step 0 has p True, not a positive number"),
         ([(1.5, [0.7], 1.0)], "step 0 has t 1.5, not a positive integer"),
         ([(True, [0], 1.0)], "step 0 has t True, not a positive integer"),
         ([(0, [0], 0.5), (1, [0], 0.5)], "step 0 has t 0, not a positive integer"),
@@ -252,13 +254,38 @@ UNORDERED = r"steps 0 and 1 are not strictly increasing in \(t, y\)"
         ([(2, [0], 0.5), (1, [0], 0.5)], UNORDERED),
     ],
     ids=[
-        "p_nan", "p_negative", "p_zero", "t_float", "t_bool", "t_zero", "y_float",
+        "p_nan", "p_negative", "p_zero", "p_string", "p_bool", "t_float", "t_bool", "t_zero", "y_float",
         "y_bool", "y_too_wide", "y_not_a_list", "repeated_step", "unsorted_steps",
     ],
 )
 def test_step_law_from_json_refuses_a_malformed_step(steps, message):
     with pytest.raises(ValueError, match=f"^step law {message}"):
         renewal.step_law_from_json(law_text(steps))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d", 2.0, "d 2.0 is not an integer"),
+        ("d", True, "d True is not an integer"),
+        ("L", 6.5, "L 6.5 is not an integer"),
+        ("L", "6", "L '6' is not an integer"),
+        ("beta", "1.2", "beta '1.2' is not a number"),
+        ("beta", True, "beta True is not a number"),
+        ("m_hat", None, "m_hat None is not a number"),
+        ("m_hat", [0.0], r"m_hat \[0.0\] is not a number"),
+    ],
+    ids=[
+        "d_float", "d_bool", "L_float", "L_string", "beta_string", "beta_bool",
+        "m_hat_null", "m_hat_list",
+    ],
+)
+def test_step_law_from_json_refuses_a_scalar_of_the_wrong_type(field, value, message):
+    # int() and float() would coerce each of these
+    payload = json.loads(law_text([(1, [0], 1.0)]))
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"^step law {message}$"):
+        renewal.step_law_from_json(json.dumps(payload))
 
 
 def test_law_rebuilt_from_cache_is_bitwise_identical(tmp_path, irr_table_l12):
