@@ -289,27 +289,27 @@ def exhaustive_shrinking(beta: float) -> list[dict]:
 
 
 def cmd_analyze(config: ExperimentConfig) -> None:
-    """Fit and test the sampled skeletons against the Brownian bridge."""
-    batches: dict[int, sampler.SkeletonBatch] = {}
-    digests = set()
-    for n in config.spans:
-        digest, batches[n] = read_skeletons(config, n)
-        digests.add(digest)
-    if len(digests) != 1:
-        raise ValueError(f"skeleton files disagree on law_digest: {sorted(digests)}")
-    digest = digests.pop()
+    """Fit and test the sampled skeletons against the Brownian bridge.  The
+    spans are read in increasing order, each span's skeletons dropped once
+    its gap fraction (and, at the fit span, its grid values) is taken."""
     grid = np.array(config.grid)
     fit_span = max(config.spans)
-    values = stats.build_ensemble(batches[fit_span], grid)
+    digests = set()
+    gap_rows = []
+    for n in sorted(config.spans):
+        digest, batch = read_skeletons(config, n)
+        digests.add(digest)
+        if len(digests) != 1:
+            raise ValueError(f"skeleton files disagree on law_digest: {sorted(digests)}")
+        gap_rows.append({"n": n, "fraction": stats.gap_statistic(batch)})
+        if n == fit_span:
+            values = stats.build_ensemble(batch, grid)
+        del batch
     fit = stats.fit_bridge_covariance(stats.empirical_covariance(values), grid)
     ks_rows = []
     for g, t in enumerate(config.grid):
         statistic, p = stats.ks_marginal(values[:, g], fit_span, t, fit.sigma2_hat)
         ks_rows.append({"t": t, "stat": statistic, "p": p})
-    gap_rows = [
-        {"n": n, "fraction": stats.gap_statistic(batches[n])}
-        for n in sorted(config.spans)
-    ]
     fractions = [row["fraction"] for row in gap_rows]
     shrink_rows = exhaustive_shrinking(config.beta) if config.d == 2 else []
     payload = {

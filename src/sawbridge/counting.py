@@ -555,6 +555,8 @@ def load_count_table(path: str | Path) -> CountTable:
             f"{path}: {n_endpoints} records of {record} bytes disagree "
             f"with the {len(body) - off} bytes after the header"
         )
+    if cutoff > MAX_CUTOFF[d]:
+        raise ValueError(f"{path}: cutoff {cutoff} exceeds {MAX_CUTOFF[d]} at d = {d}")
     records = np.frombuffer(body, dtype=_record_dtype(d, cutoff), offset=off)
     sites, rows = records["site"].astype(np.int64), records["row"].astype(np.int64)
     # each site against the one before (the first against itself - 1) by their

@@ -7,11 +7,12 @@ of a replicate is the same whether sampled alone, in a batch, or on a
 different thread count, which is what the byte-identical-output
 guarantees rest on.
 
-Short streams are generated for all replicates at once by a numpy
-Philox4x64-10 (Salmon et al., SC'11) that reproduces
-`np.random.Philox(key=...).random()` bit for bit; long streams keep one
-`np.random.Philox` per replicate, which is faster once the per-stream
-construction cost is spread over many draws.
+A block of replicates is keyed in one hash pass, and both generators
+read those keys as (low, high) 64-bit words.  Short streams are
+generated for all replicates at once by a numpy Philox4x64-10 (Salmon et
+al., SC'11) that reproduces `np.random.Philox(key=...).random()` bit for
+bit; long streams keep one `np.random.Philox` per replicate, which is
+faster once the per-stream construction cost is spread over many draws.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ def _key_bytes(seed: int, replicates: Sequence[int]) -> bytes:
     for state, replicate in zip(states, replicates):
         state.update(b"%d" % replicate)
     return b"".join([state.digest()[:16] for state in states])
-
-
-def stream_key(seed: int, replicate: int) -> int:
-    return int.from_bytes(_key_bytes(seed, [replicate]), "little")
-
-
-def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, replicate)))
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +85,10 @@ def _philox_uniforms(keys: np.ndarray, draws: int) -> np.ndarray:
 
 def uniform_block(seed: int, replicates: Sequence[int], draws: int) -> np.ndarray:
     """Leading uniforms of many replicate streams, one row per replicate."""
+    keys = np.frombuffer(_key_bytes(seed, replicates), dtype="<u8").reshape(-1, 2)
     if draws <= VECTOR_MAX_DRAWS:
-        raw = _key_bytes(seed, replicates)
-        return _philox_uniforms(np.frombuffer(raw, dtype="<u8").reshape(-1, 2), draws)
+        return _philox_uniforms(keys, draws)
     out = np.empty((len(replicates), draws), dtype=np.float64)
-    for i, rep in enumerate(replicates):
-        out[i] = replicate_generator(seed, rep).random(draws)
+    for row, key in zip(out, keys):
+        np.random.Generator(np.random.Philox(key=key)).random(out=row)
     return out

@@ -310,7 +310,7 @@ def sample_skeletons(
     how the replicates are split and of the thread count.
     """
     if partition.value(partition.n, (0,) * (partition.d - 1)) <= 0.0:
-        raise RuntimeError(
+        raise ValueError(
             f"pinned mass at ({partition.n}, 0̃) is zero; box or law misconfigured"
         )
     batches = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -412,6 +414,27 @@ def test_analyze_refuses_spans_of_different_laws(pipeline_dir, tmp_path, capsys)
     assert "law_digest" in capsys.readouterr().err
 
 
+def test_analyze_holds_one_span_of_skeletons_at_a_time(pipeline_dir, tmp_path, monkeypatch):
+    campaign = ("--d", "2", "--L", "10", "--n", "6,4,5", "--replicas", "100",
+                "--seed", "3", "--out", tmp_path)
+    shutil.copy(pipeline_dir / "step_law_d2_L10.json", tmp_path)
+    assert run("sample", *campaign) == 0
+    read, spans, earlier, alive = cli.read_skeletons, [], [], []
+
+    def tracked(config, n):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        digest, batch = read(config, n)
+        spans.append(n)
+        earlier.append(weakref.ref(batch))
+        return digest, batch
+
+    monkeypatch.setattr(cli, "read_skeletons", tracked)
+    assert run("analyze", *campaign) == 0
+    assert alive == [0, 0, 0]
+    assert spans == [4, 5, 6]
+
+
 @pytest.mark.parametrize(
     "flag, value, field, law_name",
     [
@@ -632,6 +655,13 @@ def count_the_origin_at_an_odd_length(body) -> None:
     write_count(body, 0, 1, 1)
 
 
+def empty_the_cache_at_a_huge_cutoff(body) -> None:
+    # no records, so the record size agrees with the bytes at any cutoff
+    at = 25 + int.from_bytes(body[21:25], "little")
+    body[16:20] = (10**6).to_bytes(4, "little")
+    body[at:] = bytes(8)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -651,6 +681,7 @@ def count_the_origin_at_an_odd_length(body) -> None:
             count_the_origin_at_an_odd_length,
             "endpoint (0, 0) has a count at a length no walk to it has",
         ),
+        (empty_the_cache_at_a_huge_cutoff, "cutoff 1000000 exceeds 24 at d = 2"),
     ],
 )
 def test_a_malformed_count_cache_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
@@ -825,6 +856,23 @@ def test_sample_refuses_a_law_whose_scalars_are_not_json_numbers(
     assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: malformed step-law report: {message}\n"
+    assert not list(tmp_path.glob("skeletons_n*.csv"))
+
+
+def test_sample_refuses_a_span_the_law_cannot_reach(pipeline_dir, tmp_path, capsys):
+    # a well-formed law of two legs of length 2 pins no odd span; its
+    # partition table leaks nothing, so the leakage gate lets it through
+    path = tmp_path / "step_law_d2_L10.json"
+    report = read_json_report(pipeline_dir / path.name)
+    stamp = report.pop("config")
+    report["law"]["steps"] = [{"t": 2, "y": [y], "p": 0.5} for y in (-1, 1)]
+    law = renewal.step_law_from_json(json.dumps(report["law"]))
+    report["digest"] = renewal.step_law_digest(law)
+    write_json_report(path, report, stamp)
+    capsys.readouterr()
+    assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
+    message = "pinned mass at (5, 0̃) is zero; box or law misconfigured"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("skeletons_n*.csv"))
 
 

@@ -432,9 +432,9 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_endpoint_order_is_checked_at_a_large_cutoff(tmp_path):
-    # a flat code over the box |x_i| <= 40000 at d = 4 would overflow int64,
-    # so the reader compares endpoints one coordinate at a time
-    cutoff = 40_000
+    # the reader compares endpoints one coordinate at a time, here at the
+    # largest cutoff a d = 4 cache may have
+    cutoff = counting.MAX_CUTOFF[4]
     sites = np.array([[-cutoff, 0, 0, 0], [0, 0, 0, cutoff]])
     rows = np.zeros((2, cutoff + 1), dtype=np.int64)
     rows[:, cutoff] = 1
@@ -444,7 +444,15 @@ def test_cache_endpoint_order_is_checked_at_a_large_cutoff(tmp_path):
     assert np.array_equal(loaded.sites, sites) and np.array_equal(loaded.rows, rows)
     swapped = counting.CountTable(4, cutoff, WalkClass.ALL, sites[::-1].copy(), rows)
     counting.save_count_table(swapped, path)
-    with pytest.raises(ValueError, match=r"\(-40000, 0, 0, 0\) is out of increasing order$"):
+    with pytest.raises(ValueError, match=r"\(-12, 0, 0, 0\) is out of increasing order$"):
+        counting.load_count_table(path)
+    # a wider cutoff, here 40000, is refused by the header alone
+    wide = 40_000
+    rows = np.zeros((2, wide + 1), dtype=np.int64)
+    rows[:, wide] = 1
+    sites = np.array([[-wide, 0, 0, 0], [0, 0, 0, wide]])
+    counting.save_count_table(counting.CountTable(4, wide, WalkClass.ALL, sites, rows), path)
+    with pytest.raises(ValueError, match=r"wide\.bin: cutoff 40000 exceeds 12 at d = 4$"):
         counting.load_count_table(path)
 
 

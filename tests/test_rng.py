@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 from sawbridge import rng
-from sawbridge.rng import VECTOR_MAX_DRAWS, replicate_generator, stream_key, uniform_block
+from sawbridge.rng import VECTOR_MAX_DRAWS, uniform_block
+
+
+def stream_key(seed: int, replicate: int) -> int:
+    """The stated key rule: the low 128 bits, little-endian, of SHA-256
+    over "{seed}:{replicate}"."""
+    digest = hashlib.sha256(f"{seed}:{replicate}".encode()).digest()
+    return int.from_bytes(digest[:16], "little")
+
+
+def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, replicate)))
 
 
 def reference_block(seed: int, replicates: list[int], draws: int) -> np.ndarray:
@@ -39,14 +50,10 @@ def test_uniform_block_rows_follow_a_non_contiguous_replicate_list(draws):
 
 @pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
 def test_stream_keys_follow_the_stated_rule(seed):
-    # the key of a stream is the low 128 bits, little-endian, of SHA-256
-    # over "{seed}:{replicate}", for single keys and for whole blocks alike
+    # a block's rows are the streams of the stated keys, on both sides of
+    # the threshold
     replicates = [0, 9, 9, 10**9]
-    keys = [
-        int.from_bytes(hashlib.sha256(f"{seed}:{rep}".encode()).digest()[:16], "little")
-        for rep in replicates
-    ]
-    assert [stream_key(seed, rep) for rep in replicates] == keys
+    keys = [stream_key(seed, rep) for rep in replicates]
     for draws in (5, VECTOR_MAX_DRAWS + 1):
         rows = [np.random.Generator(np.random.Philox(key=k)).random(draws) for k in keys]
         assert np.array_equal(uniform_block(seed, replicates, draws), np.array(rows))
@@ -77,14 +84,28 @@ def test_zero_draws_give_empty_rows(count):
 def test_threshold_selects_the_vectorised_generator(monkeypatch):
     # short streams never build a np.random.Philox; long ones build one each
     built = []
-    real = rng.replicate_generator
+    real = np.random.Philox
 
-    def counting(seed, replicate):
-        built.append(replicate)
-        return real(seed, replicate)
+    def counting(key):
+        built.append(int(key[0]) | int(key[1]) << 64)
+        return real(key=key)
 
-    monkeypatch.setattr(rng, "replicate_generator", counting)
+    monkeypatch.setattr(np.random, "Philox", counting)
     uniform_block(1, [0, 1, 2], VECTOR_MAX_DRAWS)
     assert built == []
     uniform_block(1, [0, 1, 2], VECTOR_MAX_DRAWS + 1)
-    assert built == [0, 1, 2]
+    assert built == [stream_key(1, rep) for rep in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("draws", [5, VECTOR_MAX_DRAWS + 1])
+def test_a_block_is_keyed_in_one_hash_pass(monkeypatch, draws):
+    calls = []
+    real = rng._key_bytes
+
+    def counting(seed, replicates):
+        calls.append(list(replicates))
+        return real(seed, replicates)
+
+    monkeypatch.setattr(rng, "_key_bytes", counting)
+    uniform_block(2, [4, 0, 9], draws)
+    assert calls == [[4, 0, 9]]

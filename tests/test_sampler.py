@@ -353,7 +353,7 @@ def test_unreachable_span_raises():
     law = make_law({FrameSplit(2, ORIGIN_1D): 1.0})
     table = sampler.dp_partition(law, 3)
     with pytest.raises(
-        RuntimeError, match=r"^pinned mass at \(3, 0̃\) is zero; box or law misconfigured$"
+        ValueError, match=r"^pinned mass at \(3, 0̃\) is zero; box or law misconfigured$"
     ):
         sampler.sample_skeletons(law, table, seed=0, replicates=range(1))
 
