@@ -205,28 +205,32 @@ def skeleton_header(d: int) -> list[str]:
     return ["replicate", "k", "step_index", "t", *(f"y{j}" for j in range(1, d))]
 
 
-def draw(
+def gated_partition(
     config: ExperimentConfig, law: renewal.StepLaw, n: int
-) -> tuple[float, sampler.SkeletonBatch]:
-    """Span n's partition table, refused when its box leaks, then the
-    config's replicas sampled from it: the leakage and the batch."""
+) -> sampler.PartitionTable:
+    """Span n's partition table, refused when the law cannot reach (n, 0̃)
+    in the box or when the box leaks."""
     table = sampler.dp_partition(law, n, config.box_radius)
     require_leakage(table)
-    batch = sampler.sample_skeletons(
-        law,
-        table,
-        seed=config.seed,
-        replicates=range(config.replicas),
-        threads=config.threads,
+    return table
+
+
+def draw(
+    config: ExperimentConfig, law: renewal.StepLaw, table: sampler.PartitionTable
+) -> sampler.SkeletonBatch:
+    """The config's replicas sampled from a gated partition table."""
+    return sampler.sample_skeletons(
+        law, table, config.seed, range(config.replicas), threads=config.threads
     )
-    return table.leakage, batch
 
 
 def cmd_sample(config: ExperimentConfig) -> None:
-    """Sample pinned skeletons at each span; write skeleton and process CSVs."""
+    """Sample pinned skeletons at each span; write skeleton and process CSVs.
+    Every span is gated before any is sampled, so a refusal writes nothing."""
     law, digest = load_law(config)
-    for n in config.spans:
-        leakage, batch = draw(config, law, n)
+    tables = [gated_partition(config, law, n) for n in config.spans]
+    for table in tables:
+        n, leakage, batch = table.n, table.leakage, draw(config, law, table)
         stamp = provenance(config, *SKELETON_FIELDS, n=n, law_digest=digest, leakage=leakage)
         write_csv_report(
             skeleton_path(config, n),
@@ -252,7 +256,8 @@ def read_skeletons(config: ExperimentConfig, n: int) -> tuple[str, sampler.Skele
     """The law digest and the skeletons of span n's skeleton CSV, read only
     once the file's whole stamp equals the config's, so d, n and replicas
     come from the config.  Rows must list replicates 0, 1, ... in order,
-    each with its k steps in step order."""
+    each with its k steps in step order, and no step may be longer than
+    the cutoff."""
     path = skeleton_path(config, n)
     if not path.exists():
         raise ValueError(f"missing ensemble {path}; run sample first")
@@ -260,6 +265,10 @@ def read_skeletons(config: ExperimentConfig, n: int) -> tuple[str, sampler.Skele
     require_provenance(path, stamp, provenance(config, *SKELETON_FIELDS, n=n))
     if header != skeleton_header(config.d):
         raise ValueError(f"{path}: header does not fit the stamped d {config.d}")
+    # a step is an irreducible bridge of at most L walk steps, so |x|_1 <= L; longer
+    # steps could wrap the pinning check's int64 sums (float64: np.abs(-2**63) < 0)
+    if (np.abs(table[:, 3:].astype(np.float64)).sum(axis=1) > config.cutoff).any():
+        raise ValueError(f"{path}: a skeleton step is longer than the cutoff {config.cutoff}")
     starts = np.flatnonzero(np.diff(table[:, 0], prepend=-1))
     batch = sampler.SkeletonBatch(
         n=n, steps=table[:, 3:], offsets=np.append(starts, len(table))
@@ -348,7 +357,8 @@ def cmd_oracle(config: ExperimentConfig) -> None:
         config.d, n, config.beta, config.cutoff
     )
     product = renewal.product_skeleton_law(irr_table, config.beta, n)
-    frequencies = draw(config, calibrated_law(irr_table, config.beta), n)[1].tally()
+    law = calibrated_law(irr_table, config.beta)
+    frequencies = draw(config, law, gated_partition(config, law, n)).tally()
     rows = []
     for key in sorted(set(exact) | set(product)):
         e, p = exact.get(key, 0.0), product.get(key, 0.0)

@@ -513,8 +513,11 @@ def save_count_table(table: CountTable, path: str | Path, config: dict | None = 
 
     Layout: magic, version, d, cutoff, class code, a canonical-JSON config
     blob, the endpoint count, then endpoint-sorted (coords, count row)
-    records, followed by a SHA-256 digest of everything before it.
+    records, followed by a SHA-256 digest of everything before it.  A
+    cutoff above MAX_CUTOFF is refused, as the reader refuses it.
     """
+    if table.cutoff > (cap := MAX_CUTOFF[table.d]):
+        raise ValueError(f"{path}: cutoff {table.cutoff} exceeds {cap} at d = {table.d}")
     meta = json.dumps(config or {}, sort_keys=True, separators=(",", ":")).encode()
     records = np.empty(len(table.sites), dtype=_record_dtype(table.d, table.cutoff))
     records["site"], records["row"] = table.sites, table.rows
@@ -560,7 +563,7 @@ def load_count_table(path: str | Path) -> CountTable:
     records = np.frombuffer(body, dtype=_record_dtype(d, cutoff), offset=off)
     sites, rows = records["site"].astype(np.int64), records["row"].astype(np.int64)
     # each site against the one before (the first against itself - 1) by their
-    # first unequal coordinate: a flat site code could overflow at a large cutoff
+    # first unequal coordinate
     step = np.diff(sites, axis=0, prepend=sites[:1] - 1)
     lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
     reach = np.abs(sites).sum(axis=1)

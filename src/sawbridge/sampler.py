@@ -7,7 +7,8 @@ partial sums hitting (n, 0̃) is handled in two passes:
   partition function G(t, y) = total product mass of step sequences from
   (0, 0̃) to (t, y), truncated to a transverse box of radius R, with one
   floating mantissa slab plus a log-scale offset per t so nothing
-  underflows at large n;
+  underflows at large n.  A span the law cannot reach in the box, where
+  G(n, 0̃) = 0, is refused there, so the sampler gets no table it cannot draw;
 * backward sampling then draws the last increment x of a path ending at
   (t, y) with probability proportional to Q(x) G(t - x_t, y - x_y) and
   recurses, which reproduces the conditioned product law exactly
@@ -44,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import BLOCK_CELLS, bridges_to_axis_point
-from .lattice import FrameSplit, Site
+from .lattice import FrameSplit
 from .renewal import StepLaw
 from .rng import uniform_block
 
@@ -115,34 +116,21 @@ class SkeletonBatch(Sequence[Skeleton]):
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Pinned partition function G over slabs, in mantissa/log-scale form.
+    """Pinned partition function G over slabs, in mantissa/log-scale form,
+    of a span the law reaches: G(n, 0̃) > 0.
 
     padded holds the mantissas in the lag-padded layout both passes index
-    (see the module docstring); mantissa[t] is its box at slab t, scaled to
-    unit maximum, and log_scale[t] restores the true magnitude (-inf marks
-    an empty slab).  leakage reports how much conditioned mass the box
-    truncation lost, measured against a wider box.
+    (see the module docstring), each slab's box scaled to unit maximum,
+    and log_scale[t] restores slab t's true magnitude (-inf marks an empty
+    slab).  leakage reports how much conditioned mass the box truncation
+    lost, measured against a wider box.
     """
 
-    d: int
     n: int
     radius: int
     padded: np.ndarray
     log_scale: np.ndarray
     leakage: float
-
-    @property
-    def mantissa(self) -> np.ndarray:
-        width = 2 * self.radius + 1
-        reach = (self.padded.shape[1] - width) // 2
-        box = (slice(reach, reach + width),) * (self.d - 1)
-        return self.padded[(slice(-self.n - 1, None), *box)]
-
-    def value(self, t: int, y: Site) -> float:
-        idx = tuple(c + self.radius for c in y)
-        if not 0 <= t <= self.n or any(not 0 <= i < 2 * self.radius + 1 for i in idx):
-            return 0.0
-        return float(self.mantissa[t][idx] * math.exp(self.log_scale[t]))
 
 
 def transverse_step_variance(law: StepLaw) -> float:
@@ -212,7 +200,7 @@ def _forward_slabs(
 
 def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTable:
     """Forward DP for the pinned partition function, with leakage measured
-    against a half-again-wider box."""
+    against a half-again-wider box; refused, before that box, at zero pinned mass."""
     if n < 1:
         raise ValueError(f"span must be >= 1, got {n}")
     reach = int(np.abs(law.steps[:, 1:]).max(initial=0))
@@ -223,18 +211,19 @@ def dp_partition(law: StepLaw, n: int, radius: int | None = None) -> PartitionTa
             f"box radius {radius} is below 1 or below the law's transverse reach {reach}"
         )
     padded, log_scale = _forward_slabs(law, n, radius, reach)
+    pinned = padded[(-1, *(reach + radius,) * (law.d - 1))]
+    if pinned <= 0.0:
+        raise ValueError(f"pinned mass at ({n}, 0̃) is zero; box or law misconfigured")
 
     wide = radius + max(2 * reach, (radius + 1) // 2)
     padded_w, logs_w = _forward_slabs(law, n, wide, reach)
-
-    pinned = padded[(-1, *(reach + radius,) * (law.d - 1))]
     pinned_w = padded_w[(-1, *(reach + wide,) * (law.d - 1))]
-    if pinned_w <= 0.0 or log_scale[n] == -np.inf:
-        leakage = 0.0 if pinned <= 0.0 else 1.0
+    if pinned_w <= 0.0:
+        leakage = 1.0
     else:
         ratio = (pinned / pinned_w) * math.exp(log_scale[n] - logs_w[n])
         leakage = max(0.0, 1.0 - ratio)
-    return PartitionTable(law.d, n, radius, padded, log_scale, leakage)
+    return PartitionTable(n, radius, padded, log_scale, leakage)
 
 
 def _sample_batch(
@@ -309,10 +298,6 @@ def sample_skeletons(
     threads > 1; per-replicate streams make the output independent of
     how the replicates are split and of the thread count.
     """
-    if partition.value(partition.n, (0,) * (partition.d - 1)) <= 0.0:
-        raise ValueError(
-            f"pinned mass at ({partition.n}, 0̃) is zero; box or law misconfigured"
-        )
     batches = [
         replicates[i : i + BATCH_SIZE] for i in range(0, len(replicates), BATCH_SIZE)
     ]

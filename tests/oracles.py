@@ -6,9 +6,10 @@ modules, with two exceptions: exact_gap_fraction reuses the package's
 partition DP, which the tests check against composition_partition, and
 is itself checked against renewal_conditioned_law; batch_of only packs
 test skeletons into the package's SkeletonBatch, and paths_of only
-unpacks the package's array search into tuples.  Agreement between
-the two sides is the point of the tests.  per_step_slabs is the one
-numpy reference: the partition DP as one update per law step, whose
+unpacks the package's array search into tuples, and partition_box and
+partition_value only read a package PartitionTable's layout.  Agreement
+between the two sides is the point of the tests.  per_step_slabs is the
+one numpy reference: the partition DP as one update per law step, whose
 floating-point operations the package's block sum must repeat bit for bit.
 """
 
@@ -333,6 +334,23 @@ def composition_partition(
     return table
 
 
+def partition_box(table) -> np.ndarray:
+    """The mantissas of a partition table's box at slabs 0..n: its padded
+    layout without the lag slabs and the zero margin (a view)."""
+    width = 2 * table.radius + 1
+    reach = (table.padded.shape[1] - width) // 2
+    box = (slice(reach, reach + width),) * (table.padded.ndim - 1)
+    return table.padded[(slice(-table.n - 1, None), *box)]
+
+
+def partition_value(table, t: int, y: Sequence[int]) -> float:
+    """G(t, y) of a partition table: 0 outside its slabs or its box."""
+    idx = tuple(c + table.radius for c in y)
+    if not 0 <= t <= table.n or any(not 0 <= i < 2 * table.radius + 1 for i in idx):
+        return 0.0
+    return float(partition_box(table)[t][idx] * math.exp(table.log_scale[t]))
+
+
 def per_step_slabs(
     t_arr: np.ndarray,
     y_arr: np.ndarray,
@@ -569,8 +587,7 @@ def exact_gap_fraction(law, n: int, radius: int) -> float:
         [not longer_than_cube_root(t, y, n) for t, *y in law.steps.tolist()]
     )
     origin = (0,) * (law.d - 1)
-    full = sampler.dp_partition(law, n, radius).value(n, origin)
-    kept = sampler.dp_partition(
-        dataclasses.replace(law, steps=law.steps[short], p=law.p[short]), n, radius
-    ).value(n, origin)
+    restricted = dataclasses.replace(law, steps=law.steps[short], p=law.p[short])
+    full = partition_value(sampler.dp_partition(law, n, radius), n, origin)
+    kept = partition_value(sampler.dp_partition(restricted, n, radius), n, origin)
     return 1.0 - kept / full

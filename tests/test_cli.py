@@ -282,6 +282,15 @@ def extra_column(rows) -> None:
         row.append("0")
 
 
+def wrapping_steps(rows) -> None:
+    # replicate 0 as four steps whose int64 sums wrap to (5, 0)
+    big = 2**62
+    steps = [(big, big), (big, big), (big, 0), (big + 5, -(2**63))]
+    rows[:] = [["0", "4", str(i), str(t), str(y)] for i, (t, y) in enumerate(steps)] + [
+        row for row in rows if row[0] != "0"
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -294,6 +303,7 @@ def extra_column(rows) -> None:
         (letter_cell, "could not convert string 'a'"),
         (header_only, "no rows"),
         (extra_column, "6 cells, header has 5"),
+        (wrapping_steps, "a skeleton step is longer than the cutoff 10"),
     ],
 )
 def test_analyze_rejects_restamped_skeleton_rows(
@@ -306,6 +316,7 @@ def test_analyze_rejects_restamped_skeleton_rows(
     capsys.readouterr()
     assert run("analyze", *CAMPAIGN, "--out", tmp_path) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def layout_columns_only(stamp, header, rows):
@@ -859,21 +870,52 @@ def test_sample_refuses_a_law_whose_scalars_are_not_json_numbers(
     assert not list(tmp_path.glob("skeletons_n*.csv"))
 
 
-def test_sample_refuses_a_span_the_law_cannot_reach(pipeline_dir, tmp_path, capsys):
-    # a well-formed law of two legs of length 2 pins no odd span; its
-    # partition table leaks nothing, so the leakage gate lets it through
-    path = tmp_path / "step_law_d2_L10.json"
+def write_two_leg_law(pipeline_dir, out) -> None:
+    """A well-formed, rehashed law of two legs of length 2, which pins no
+    odd span; its partition table would leak nothing."""
+    path = out / "step_law_d2_L10.json"
     report = read_json_report(pipeline_dir / path.name)
     stamp = report.pop("config")
     report["law"]["steps"] = [{"t": 2, "y": [y], "p": 0.5} for y in (-1, 1)]
     law = renewal.step_law_from_json(json.dumps(report["law"]))
     report["digest"] = renewal.step_law_digest(law)
     write_json_report(path, report, stamp)
+
+
+def test_sample_refuses_a_span_the_law_cannot_reach(pipeline_dir, tmp_path, capsys):
+    write_two_leg_law(pipeline_dir, tmp_path)
     capsys.readouterr()
     assert run("sample", *CAMPAIGN, "--out", tmp_path) == 2
     message = "pinned mass at (5, 0̃) is zero; box or law misconfigured"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("skeletons_n*.csv"))
+
+
+def test_sample_writes_no_span_when_a_later_span_is_unreachable(
+    pipeline_dir, tmp_path, capsys
+):
+    # span 4 is reachable, span 5 is not: neither span's files are written
+    write_two_leg_law(pipeline_dir, tmp_path)
+    capsys.readouterr()
+    args = ("--d", "2", "--L", "10", "--out", tmp_path, "--n", "4,5", "--replicas", "100")
+    assert run("sample", *args) == 2
+    message = "pinned mass at (5, 0̃) is zero; box or law misconfigured"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("skeletons_n*.csv"))
+    assert not list(tmp_path.glob("process_n*.csv"))
+
+
+def test_sample_writes_no_span_when_a_later_span_leaks(pipeline_dir, tmp_path, capsys):
+    # at box radius 9 the L = 10 law leaks 2.6e-08 at span 5, 4.4e-02 at span 40
+    shutil.copy(pipeline_dir / "step_law_d2_L10.json", tmp_path)
+    capsys.readouterr()
+    args = ("--d", "2", "--L", "10", "--out", tmp_path,
+            "--n", "5,40", "--replicas", "100", "--box-radius", "9")
+    assert run("sample", *args) == 3
+    message = "box truncation leaks 4.388e-02 >= 1.0e-06; increase the radius"
+    assert capsys.readouterr().err == f"threshold violation: {message}\n"
+    assert not list(tmp_path.glob("skeletons_n*.csv"))
+    assert not list(tmp_path.glob("process_n*.csv"))
 
 
 def test_repeated_spans_exit_2(tmp_path, capsys):

@@ -440,19 +440,35 @@ def test_cache_endpoint_order_is_checked_at_a_large_cutoff(tmp_path):
     rows[:, cutoff] = 1
     path = tmp_path / "wide.bin"
     counting.save_count_table(counting.CountTable(4, cutoff, WalkClass.ALL, sites, rows), path)
+    valid = path.read_bytes()
     loaded = counting.load_count_table(path)
     assert np.array_equal(loaded.sites, sites) and np.array_equal(loaded.rows, rows)
     swapped = counting.CountTable(4, cutoff, WalkClass.ALL, sites[::-1].copy(), rows)
     counting.save_count_table(swapped, path)
     with pytest.raises(ValueError, match=r"\(-12, 0, 0, 0\) is out of increasing order$"):
         counting.load_count_table(path)
-    # a wider cutoff, here 40000, is refused by the header alone
+    # a wider cutoff, here 40000, is refused by the writer, which leaves the
+    # file as it was, and by the reader from the header alone
     wide = 40_000
     rows = np.zeros((2, wide + 1), dtype=np.int64)
     rows[:, wide] = 1
     sites = np.array([[-wide, 0, 0, 0], [0, 0, 0, wide]])
-    counting.save_count_table(counting.CountTable(4, wide, WalkClass.ALL, sites, rows), path)
-    with pytest.raises(ValueError, match=r"wide\.bin: cutoff 40000 exceeds 12 at d = 4$"):
+    refusal = r"wide\.bin: cutoff 40000 exceeds 12 at d = 4$"
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=refusal):
+        counting.save_count_table(counting.CountTable(4, wide, WalkClass.ALL, sites, rows), path)
+    assert path.read_bytes() == before
+    # the valid cache with its header cutoff and its records rewritten at
+    # the wider cutoff, and its digest recomputed
+    body = bytearray(valid[:-32])
+    body[16:20] = wide.to_bytes(4, "little")
+    records = 25 + int.from_bytes(body[21:25], "little") + 8
+    body[records:] = b"".join(
+        np.asarray(site, "<i4").tobytes() + np.asarray(row, "<i8").tobytes()
+        for site, row in zip(sites, rows)
+    )
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    with pytest.raises(ValueError, match=refusal):
         counting.load_count_table(path)
 
 
