@@ -263,6 +263,9 @@ def read_skeletons(config: ExperimentConfig, n: int) -> tuple[str, sampler.Skele
         raise ValueError(f"missing ensemble {path}; run sample first")
     stamp, header, table = read_int_csv_report(path)
     require_provenance(path, stamp, provenance(config, *SKELETON_FIELDS, n=n))
+    leakage = stamp.get("leakage")  # sample refuses a box leaking MAX_LEAKAGE or more
+    if not (isinstance(leakage, float) and 0.0 <= leakage < MAX_LEAKAGE):
+        raise ValueError(f"{path}: stamped leakage {leakage!r} is not in [0, {MAX_LEAKAGE:.1e})")
     if header != skeleton_header(config.d):
         raise ValueError(f"{path}: header does not fit the stamped d {config.d}")
     # a step is an irreducible bridge of at most L walk steps, so |x|_1 <= L; longer

@@ -26,7 +26,14 @@ the same floating-point operations, in law order, as one update per step.
 
 Sampling is batched: replicate streams are independent, and every
 per-replicate decision uses that replicate's own uniforms, so results
-are bit-identical regardless of batch or thread partitioning.
+are bit-identical regardless of batch or thread partitioning.  A batch
+is drawn in slab order, t = n, ..., 1: every step lowers t and the
+backward kernel depends on the state alone, so each slab is visited
+once, after every slab above it, and its kernel rows are built once per
+distinct state its replicates hold.  A replicate stuck at a state with
+no in-box predecessor is set aside, and once the batch is drawn the
+refusal names the one the earliest pick, then the earliest position in
+the batch, meets first: the replicate a round-by-round draw stops at.
 
 Full walks (not just skeletons) are available only by exhaustive
 enumeration at small n, which `counting.bridges_to_axis_point` does.
@@ -230,7 +237,8 @@ def _sample_batch(
     law: StepLaw, partition: PartitionTable, seed: int, reps: range | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Law-step indices (in forward order) and increment counts of one
-    replicate batch."""
+    replicate batch, drawn slab by slab from t = n down; a replicate's
+    j-th pick reads its j-th uniform."""
     n = partition.n
     n_reps = len(reps)
 
@@ -242,46 +250,57 @@ def _sample_batch(
     log_g[lag:] += partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
     stride = np.array(log_g.strides) // log_g.itemsize
     offset = law.steps @ stride
-    slab_1 = (lag + 1) * stride[0]  # the first state past slab 0
     log_g = log_g.ravel()
 
-    uniforms = uniform_block(seed, reps, n)
+    uniforms = uniform_block(seed, reps, n).ravel()
     # (n, 0̃) is the centre of slab n, whose sides are odd
     state = np.full(n_reps, (lag + n) * stride[0] + stride[0] // 2)
-    choices = np.zeros((n_reps, n), dtype=np.int32)
+    slab = np.full(n_reps, lag + n)  # padded slab index of each state
+    choices = np.zeros(n_reps * n, dtype=np.int32)
     rounds = np.zeros(n_reps, dtype=np.int64)
 
-    # The backward kernel at a state depends on that state alone, so each
-    # round builds it once per distinct state and gathers it per replicate.
-    active = np.arange(n_reps)
-    j = 0
-    while active.size:
-        states, inverse = np.unique(state[active], return_inverse=True)
-        weights_log = log_p[None, :] + log_g[states[:, None] - offset[None, :]]
-
-        row_max = weights_log.max(axis=1)
-        dead = row_max == -np.inf
-        if dead.any():
-            bad = reps[int(active[int(np.argmax(dead[inverse]))])]
-            raise RuntimeError(
-                f"replicate {bad}: no in-box predecessor; partition table "
-                "inconsistent with the law"
-            )
-        cumulative = np.cumsum(np.exp(weights_log - row_max[:, None]), axis=1)
-        target = uniforms[active, j] * cumulative[inverse, -1]
-        above = cumulative[inverse] > target[:, None]
-        picked = np.argmax(above, axis=1)
-        picked[~above.any(axis=1)] = len(law.p) - 1
-
-        choices[active, j] = picked
-        state[active] -= offset[picked]
-        rounds[active] = j + 1
-        active = active[state[active] >= slab_1]
-        j += 1
+    first_dead = n * n_reps  # pick * n_reps + position of the first refusal by round
+    lowest = np.finfo(np.float64).min
+    held = np.zeros(stride[0], dtype=bool)  # marks, slab by slab
+    row_of = np.zeros(stride[0], dtype=np.int64)
+    for s in range(lag + n, lag, -1):
+        here = (slab == s).nonzero()[0]
+        if not here.size:
+            continue
+        at, j = state[here], rounds[here]
+        local = at - s * stride[0]
+        held[local] = True
+        states = held.nonzero()[0]  # the distinct states, in order, without a sort
+        held[states] = False
+        row_of[states] = np.arange(len(states))
+        inverse = row_of[local]
+        rows = log_p + log_g[(states + s * stride[0])[:, None] - offset]
+        row_max = rows.max(axis=1)
+        # a dead state's row (max -inf) gives zeros, not NaN, once its max is clamped
+        rows -= np.maximum(row_max, lowest, out=row_max)[:, None]
+        cumulative = np.add.accumulate(np.exp(rows, out=rows), axis=1, out=rows)
+        total = cumulative[inverse, -1]  # 0 exactly at a dead state
+        if not total.all():
+            dead = total == 0.0
+            first_dead = min(first_dead, int((j * n_reps + here)[dead].min()))
+            here, at, j, inverse, total = (v[~dead] for v in (here, at, j, inverse, total))
+        draw = here * n + j
+        above = cumulative.take(inverse, axis=0) > (uniforms[draw] * total)[:, None]
+        picked = above.argmax(axis=1)
+        picked[~above[:, -1]] = len(law.p) - 1  # rows are nondecreasing
+        choices[draw] = picked
+        state[here] = at = at - offset[picked]
+        slab[here] = at // stride[0]
+        rounds[here] = j + 1
+    if first_dead < n * n_reps:
+        raise RuntimeError(
+            f"replicate {reps[first_dead % n_reps]}: no in-box predecessor; "
+            "partition table inconsistent with the law"
+        )
 
     # choices are drawn last increment first, so each reversed row ends
     # with that replicate's increments in forward order
-    return choices[:, ::-1][np.arange(n) >= (n - rounds)[:, None]], rounds
+    return choices.reshape(n_reps, n)[:, ::-1][np.arange(n) >= (n - rounds)[:, None]], rounds
 
 
 def sample_skeletons(

@@ -8,9 +8,13 @@ is itself checked against renewal_conditioned_law; batch_of only packs
 test skeletons into the package's SkeletonBatch, and paths_of only
 unpacks the package's array search into tuples, and partition_box and
 partition_value only read a package PartitionTable's layout.  Agreement
-between the two sides is the point of the tests.  per_step_slabs is the
-one numpy reference: the partition DP as one update per law step, whose
-floating-point operations the package's block sum must repeat bit for bit.
+between the two sides is the point of the tests.  Two numpy references
+are kept for the bit-for-bit checks: per_step_slabs, the partition DP as
+one update per law step, whose floating-point operations the package's
+block sum must repeat; and round_order_sample, the backward sampler as one
+round of picks at a time over every replicate still drawing, which reads
+the package's uniform streams and whose picks, rounds and refusals the
+package's slab-order sampler must repeat.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from sawbridge.rng import uniform_block
 
 Site = tuple[int, ...]
 Path = tuple[Site, ...]
@@ -389,6 +395,63 @@ def per_step_slabs(
             slab /= peak
             log_scale[t] = anchor + math.log(peak)
     return padded[(slice(None), *box)], log_scale
+
+
+def round_order_sample(law, partition, seed: int, reps) -> tuple[np.ndarray, np.ndarray]:
+    """Law-step indices (in forward order) and increment counts of one
+    replicate batch, drawn round by round: round j makes the j-th backward
+    pick of every replicate not yet at slab 0, from kernel rows built once
+    per distinct state, and the first replicate found at a state with no
+    in-box predecessor is refused at once."""
+    n = partition.n
+    n_reps = len(reps)
+
+    # log G in the table's padded layout, -inf wherever its mantissa is 0
+    with np.errstate(divide="ignore"):
+        log_g = np.log(partition.padded)
+        log_p = np.log(law.p)
+    lag = len(log_g) - n - 1
+    log_g[lag:] += partition.log_scale.reshape(-1, *(1,) * (law.d - 1))
+    stride = np.array(log_g.strides) // log_g.itemsize
+    offset = law.steps @ stride
+    slab_1 = (lag + 1) * stride[0]  # the first state past slab 0
+    log_g = log_g.ravel()
+
+    uniforms = uniform_block(seed, reps, n)
+    # (n, 0̃) is the centre of slab n, whose sides are odd
+    state = np.full(n_reps, (lag + n) * stride[0] + stride[0] // 2)
+    choices = np.zeros((n_reps, n), dtype=np.int32)
+    rounds = np.zeros(n_reps, dtype=np.int64)
+
+    active = np.arange(n_reps)
+    j = 0
+    while active.size:
+        states, inverse = np.unique(state[active], return_inverse=True)
+        weights_log = log_p[None, :] + log_g[states[:, None] - offset[None, :]]
+
+        row_max = weights_log.max(axis=1)
+        dead = row_max == -np.inf
+        if dead.any():
+            bad = reps[int(active[int(np.argmax(dead[inverse]))])]
+            raise RuntimeError(
+                f"replicate {bad}: no in-box predecessor; partition table "
+                "inconsistent with the law"
+            )
+        cumulative = np.cumsum(np.exp(weights_log - row_max[:, None]), axis=1)
+        target = uniforms[active, j] * cumulative[inverse, -1]
+        above = cumulative[inverse] > target[:, None]
+        picked = np.argmax(above, axis=1)
+        picked[~above.any(axis=1)] = len(law.p) - 1
+
+        choices[active, j] = picked
+        state[active] -= offset[picked]
+        rounds[active] = j + 1
+        active = active[state[active] >= slab_1]
+        j += 1
+
+    # choices are drawn last increment first, so each reversed row ends
+    # with that replicate's increments in forward order
+    return choices[:, ::-1][np.arange(n) >= (n - rounds)[:, None]], rounds
 
 
 def normal_cdf(z: float) -> float:

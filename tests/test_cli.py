@@ -190,9 +190,11 @@ def campaign_config(out):
 
 
 def restamp(path, edit_rows=None, **stamp_changes) -> None:
+    """Rewrite a CSV report with a valid body hash: edit_rows edits its rows
+    in place and may return stamp fields to change."""
     stamp, header, rows = read_csv_report(path)
     if edit_rows:
-        edit_rows(rows)
+        stamp_changes = {**(edit_rows(rows) or {}), **stamp_changes}
     write_csv_report(path, header, rows, {**stamp, **stamp_changes})
 
 
@@ -291,6 +293,11 @@ def wrapping_steps(rows) -> None:
     ]
 
 
+def leaky_stamp(rows) -> dict:
+    # skeletons stamped as drawn from a box sample would have refused
+    return {"leakage": 0.5}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -304,6 +311,7 @@ def wrapping_steps(rows) -> None:
         (header_only, "no rows"),
         (extra_column, "6 cells, header has 5"),
         (wrapping_steps, "a skeleton step is longer than the cutoff 10"),
+        (leaky_stamp, "stamped leakage 0.5 is not in"),
     ],
 )
 def test_analyze_rejects_restamped_skeleton_rows(
@@ -344,7 +352,7 @@ def test_analyze_rejects_columns_that_do_not_fit_the_stamped_d(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["n", "replicas", "d"])
+@pytest.mark.parametrize("field", ["n", "replicas", "d", "leakage"])
 def test_analyze_rejects_a_stamp_without_n_or_replicas(
     pipeline_dir, tmp_path, capsys, field
 ):
@@ -363,7 +371,15 @@ def test_analyze_rejects_a_stamp_without_n_or_replicas(
 
 # a stamped value of the wrong type is refused before any of it is used
 @pytest.mark.parametrize(
-    "field, value", [("n", [5]), ("replicas", "250"), ("law_digest", ["0"])]
+    "field, value",
+    [
+        ("n", [5]),
+        ("replicas", "250"),
+        ("law_digest", ["0"]),
+        ("leakage", True),
+        ("leakage", "0.0"),
+        ("leakage", math.nan),
+    ],
 )
 def test_analyze_rejects_a_stamped_value_of_the_wrong_type(
     pipeline_dir, tmp_path, capsys, field, value

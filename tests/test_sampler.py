@@ -19,8 +19,10 @@ from sawbridge import cli, counting, renewal, sampler
 from sawbridge.counting import WalkClass
 from sawbridge.lattice import FrameSplit
 from sawbridge.renewal import StepLaw
+from sawbridge.rng import uniform_block
 from sawbridge.sampler import Skeleton, SkeletonBatch
 
+import oracles
 from oracles import (
     batch_of,
     composition_partition,
@@ -32,6 +34,7 @@ from oracles import (
     paths_of,
     per_step_slabs,
     renewal_conditioned_law,
+    round_order_sample,
     scaled_knots,
 )
 
@@ -367,17 +370,24 @@ def test_unreachable_span_raises():
         sampler.dp_partition(law, 3)
 
 
+def emptied(table: sampler.PartitionTable, slabs) -> sampler.PartitionTable:
+    """A copy of table with the given slabs emptied in its box and log scale,
+    so in-box states above them can be left with no predecessor."""
+    broken = dataclasses.replace(
+        table, padded=table.padded.copy(), log_scale=table.log_scale.copy()
+    )
+    partition_box(broken)[list(slabs)] = 0.0
+    broken.log_scale[list(slabs)] = -np.inf
+    return broken
+
+
 def test_emptied_slab_raises_inside_the_sampling_loop():
     # With slabs 2 and 3 emptied, the pinned mass at (6, 0) stays positive
     # but state 4 has no predecessor: replicates whose first backward draw
     # is the double leg die in the second round, the others in the third.
     law = make_law({FrameSplit(1, ORIGIN_1D): 0.5, FrameSplit(2, ORIGIN_1D): 0.5})
     table = sampler.dp_partition(law, 6)
-    broken = dataclasses.replace(
-        table, padded=table.padded.copy(), log_scale=table.log_scale.copy()
-    )
-    partition_box(broken)[2:4] = 0.0
-    broken.log_scale[2:4] = -np.inf
+    broken = emptied(table, (2, 3))
     assert partition_value(broken, 6, ORIGIN_1D) > 0.0
 
     # the first draw only reads slabs 4 and 5, which the intact table shares
@@ -387,6 +397,65 @@ def test_emptied_slab_raises_inside_the_sampling_loop():
     assert doomed and doomed[0] != reps[0]
     with pytest.raises(RuntimeError, match=rf"^replicate {doomed[0]}: no in-box predecessor"):
         sampler.sample_skeletons(law, broken, seed=1, replicates=reps)
+
+
+def test_the_refusal_names_the_earliest_pick_not_the_highest_slab():
+    # Every replicate goes 12 -> 11 (slab 8 is empty).  From 11 those that
+    # go to 7 die on their third pick (slabs 6 and 3 are empty), the others
+    # go 10 -> 9 and die on their fourth (slabs 8 and 5).  The first
+    # replicates in the list, 39, 38 and 37, go to 10; 36 is the first to
+    # go to 7.  A slab-order draw meets slab 9 before slab 7, so naming the
+    # first death it meets would name 39.
+    law = make_law({FrameSplit(1, ORIGIN_1D): 0.5, FrameSplit(4, ORIGIN_1D): 0.5})
+    broken = emptied(sampler.dp_partition(law, 12), (3, 5, 6, 8))
+    reps = list(range(39, -1, -1))
+    message = r"^replicate 36: no in-box predecessor"
+    with pytest.raises(RuntimeError, match=message):
+        round_order_sample(law, broken, 1, reps)
+    with pytest.raises(RuntimeError, match=message):
+        sampler.sample_skeletons(law, broken, seed=1, replicates=reps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slab_order_repeats_the_round_order_sampler_bit_for_bit(data):
+    # step lengths with gaps, boxes from the reach up, unordered replicate
+    # lists; emptied slabs strand replicates at states with no predecessor
+    d = data.draw(st.sampled_from((2, 3)))
+    lengths = data.draw(st.sets(st.integers(1, 5), min_size=1, max_size=3))
+    support = [
+        FrameSplit(t, y)
+        for t in sorted(lengths)
+        for y in itertools.product(range(-2, 3), repeat=d - 1)
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(support), min_size=1, max_size=8, unique=True))
+    # the unit axis step makes every span reachable
+    chosen = list(dict.fromkeys([FrameSplit(1, (0,) * (d - 1)), *chosen]))
+    raw = data.draw(
+        st.lists(st.floats(1e-3, 1.0), min_size=len(chosen), max_size=len(chosen))
+    )
+    law = make_law({s: w / sum(raw) for s, w in zip(chosen, raw)}, d=d)
+    reach = max(abs(c) for s in chosen for c in s.y)
+    n = data.draw(st.integers(1, 40))
+    table = sampler.dp_partition(law, n, radius=data.draw(st.integers(max(reach, 1), reach + 4)))
+    table = emptied(table, data.draw(st.sets(st.integers(0, n), max_size=3)))
+    reps = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+    seed = data.draw(st.integers(0, 2**32))
+    # a stream can draw exactly 0.0; then the target is 0 and a row whose
+    # first steps weigh 0 tells `cum > target` from `cum >= target`
+    uniforms = uniform_block(seed, reps, n).copy()
+    uniforms.flat[sorted(data.draw(st.sets(st.integers(0, uniforms.size - 1), max_size=20)))] = 0.0
+
+    def outcome(sample):
+        try:
+            picks, rounds = sample(law, table, seed, reps)
+        except RuntimeError as refusal:
+            return str(refusal)
+        return picks.dtype, picks.tolist(), rounds.dtype, rounds.tolist()
+
+    with mock.patch.object(sampler, "uniform_block", lambda *_: uniforms.copy()), \
+            mock.patch.object(oracles, "uniform_block", lambda *_: uniforms.copy()):
+        assert outcome(sampler._sample_batch) == outcome(round_order_sample)
 
 
 # ---------------------------------------------------------------------------
