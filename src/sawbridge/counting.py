@@ -404,15 +404,20 @@ def bridges_to_axis_point(d: int, n: int, max_steps: int) -> Iterator[np.ndarray
     """Every bridge from the origin to (n, 0̃) with <= max_steps steps, in
     stacks of same-length walks, (walks, steps + 1, d) site arrays, each
     yielded as the array frontier finds it.  Sites stay in the slab
-    1 <= x_1 <= n and within reach of the target, where a walk stops.  The
-    arguments are checked, and spans above EXHAUSTIVE_SPAN_CAP refused,
-    before the search starts."""
+    1 <= x_1 <= n and within reach of the target, where a walk stops.  When
+    called, before the search, it refuses n outside 1..EXHAUSTIVE_SPAN_CAP[d]
+    and max_steps < n: a walk to (n, 0̃) has n or more steps, and the
+    straight one is a bridge, so a bridge is found iff n <= max_steps."""
     check_dimension(d)
     if n < 1:
         raise ValueError(f"axis distance must be >= 1, got {n}")
     cap = EXHAUSTIVE_SPAN_CAP[d]
     if n > cap:
         raise ValueError(f"exhaustive enumeration supports n <= {cap} at d = {d}, got {n}")
+    if max_steps < n:
+        raise ValueError(
+            f"no bridge reaches ({n}, 0) within {max_steps} steps; need cutoff >= {n}"
+        )
     # a walk to (n, 0̃) has n + 2j steps: a last step of the other parity is unusable
     return _bridge_stacks(d, n, max_steps - (max_steps - n) % 2)
 
@@ -484,10 +489,6 @@ def exact_conditioned_skeleton_law(
             )
             for key, count in zip(increments[first].tolist(), repeats.tolist()):
                 rows[tuple(key)][walks.shape[1] - 1] += count
-    if not rows:
-        raise ValueError(
-            f"no bridge reaches ({n}, 0) within {cutoff} steps; need cutoff >= {n}"
-        )
     return length_law(rows, weights)
 
 

@@ -369,10 +369,8 @@ def evaluate_process_grid(batch: SkeletonBatch, grid: np.ndarray) -> np.ndarray:
 class ExhaustiveWalkSampler:
     """Every bridge to (n, 0̃) within the step cutoff, by total enumeration:
     `walks` lists the stacks of same-length walks `bridges_to_axis_point`
-    yields.  Callers apply the full-walk law's weights e^{-beta * steps}."""
+    yields, after its refusals.  Callers apply the full-walk law's weights
+    e^{-beta * steps}.  A class only so the benchmark's tracer can time it."""
 
     def __init__(self, d: int, n: int, cutoff: int):
-        self.d, self.n, self.cutoff = d, n, cutoff
         self.walks = list(bridges_to_axis_point(d, n, cutoff))
-        if not self.walks:
-            raise ValueError(f"no bridge reaches ({n}, 0) within {cutoff} steps")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import shutil
 import subprocess
@@ -124,15 +126,26 @@ def test_sample_rerun_is_byte_identical(pipeline_dir):
     assert path.read_bytes() == before
 
 
-def test_sample_thread_invariance(pipeline_dir, tmp_path):
+def test_sample_thread_invariance(pipeline_dir, tmp_path, monkeypatch):
+    # batches of 64 split the 250 replicates into 4 pool tasks, so three
+    # real worker processes draw them
+    monkeypatch.setattr(sampler, "BATCH_SIZE", 64)
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     shutil.copy(pipeline_dir / "step_law_d2_L10.json", tmp_path)
     args = ("--d", "2", "--L", "10", "--out", str(tmp_path),
             "--n", "5", "--replicas", "250", "--seed", "7", "--threads", "3")
     assert run("sample", *args) == 0
-    assert (
-        (tmp_path / "skeletons_n5.csv").read_bytes()
-        == (pipeline_dir / "skeletons_n5.csv").read_bytes()
-    )
+    assert pools == [3]
+    assert multiprocessing.active_children() == []
+    for name in ("skeletons_n5.csv", "process_n5.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes()
 
 
 def test_sample_missing_law_exits_2(tmp_path):

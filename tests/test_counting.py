@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -559,12 +560,34 @@ def test_array_search_in_small_blocks_finds_the_same_bridges(
     assert Counter(paths) == Counter(reference)
 
 
-def test_bridge_search_checks_its_arguments_when_called():
-    # the search is lazy; its argument errors are not
+def test_bridge_search_checks_its_arguments_when_called(monkeypatch):
+    # the search is lazy; its argument errors are not, and none starts it
+    stacks = counting.bridges_to_axis_point(2, 5, 13)
+    assert inspect.getgeneratorstate(stacks) == inspect.GEN_CREATED
+
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(counting, "_bridge_stacks", no_search)
     with pytest.raises(ValueError, match="n <= 5 at d = 3"):
         counting.bridges_to_axis_point(3, 6, 14)
     with pytest.raises(ValueError, match="axis distance"):
         counting.bridges_to_axis_point(2, 0, 4)
+    with pytest.raises(
+        ValueError, match=r"^no bridge reaches \(5, 0\) within 4 steps; need cutoff >= 5$"
+    ):
+        counting.bridges_to_axis_point(2, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "d, n", [(d, n) for d, cap in counting.EXHAUSTIVE_SPAN_CAP.items() for n in range(1, cap + 1)]
+)
+def test_bridge_search_finds_the_straight_walk_at_the_least_budget(d, n):
+    # so max_steps >= n, the rule the search refuses by, is exact
+    (stack,) = counting.bridges_to_axis_point(d, n, n)
+    straight = np.zeros((1, n + 1, d), dtype=stack.dtype)
+    straight[0, :, 0] = np.arange(n + 1)
+    assert np.array_equal(stack, straight)
 
 
 @lru_cache(maxsize=None)

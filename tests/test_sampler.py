@@ -707,5 +707,7 @@ def test_exhaustive_draw_is_deterministic_across_builds():
 def test_exhaustive_span_cap_and_empty_support_errors():
     with pytest.raises(ValueError):
         sampler.ExhaustiveWalkSampler(2, 8, 20)
-    with pytest.raises(ValueError, match=r"^no bridge reaches \(3, 0\) within 2 steps$"):
+    with pytest.raises(
+        ValueError, match=r"^no bridge reaches \(3, 0\) within 2 steps; need cutoff >= 3$"
+    ):
         sampler.ExhaustiveWalkSampler(2, 3, 2)

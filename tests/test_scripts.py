@@ -88,6 +88,17 @@ def test_campaign_script_runs_every_stage(tmp_path):
     assert "== oracle ==" in result.stdout
 
 
+def test_campaign_script_skips_an_oracle_whose_span_exceeds_the_cutoff(tmp_path):
+    # no bridge reaches (5, 0) within 4 steps, so oracle could only refuse
+    result = run_script(
+        "run_campaign.py", "--L", "4", "--n", "5,6", "--replicas", "200",
+        "--out", str(tmp_path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert "== analyze ==" in result.stdout
+    assert "== oracle ==" not in result.stdout
+
+
 def test_campaign_script_reads_spans_from_the_config_file(tmp_path):
     config = tmp_path / "campaign.json"
     config.write_text('{"d": 2, "cutoff": 7, "spans": [5], "replicas": 200}')
